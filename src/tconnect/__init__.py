@@ -69,7 +69,6 @@ from .decomposition import (
     ledger,
     verify_dominating_intersections,
     verify_identities,
-    verify_main_identities,
 )
 from .harness import (
     CorpusConfig,

@@ -18,8 +18,9 @@ import sys
 
 from .decomposition import (
     FIG1_X5_T4_WORKED_ORDER,
+    ledger,
     verify_dominating_intersections,
-    verify_main_identities,
+    verify_identities,
 )
 from .graphs import (
     Graph,
@@ -91,7 +92,6 @@ def _emit(data: dict) -> None:
 def cmd_analyze(args) -> int:
     g, desc = _load_graph(args)
     preds = predict(g, args.t)
-    ideal = t_connected_ideal(g, args.t)
     out = {
         "graph": {"source": desc, "n": g.n, "edge_count": g.edge_count()},
         "t": args.t,
@@ -100,7 +100,7 @@ def cmd_analyze(args) -> int:
         "height": preds.height,
         "bight": preds.bight,
         "unmixed": preds.unmixed,
-        "generators_count": len(ideal.gens),
+        "generators_count": len(preds.ideal.gens),
         "zero_ideal": preds.zero_ideal,
         "predicted_reg": preds.predicted_reg,
         "predicted_pd": preds.predicted_pd,
@@ -162,11 +162,9 @@ def cmd_verify(args) -> int:
             if not (args.fixture == "fig1" and t == 4 and args.decompose == 5):
                 raise CliError("--order paper is only valid with --fixture fig1 --t 4 --decompose 5")
             order = FIG1_X5_T4_WORKED_ORDER
-        try:
-            main_rep = verify_main_identities(g, args.decompose, t, order)
-            dom_rep = verify_dominating_intersections(g, args.decompose, t, order)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        ledg = ledger(g, args.decompose, t, order)
+        main_rep = verify_identities(ledg)
+        dom_rep = verify_dominating_intersections(ledg)
         dec = main_rep.to_json_dict()
         dec["identities"].extend(r.to_json_dict() for r in dom_rep.records)
         dec["all_pass"] = main_rep.all_passed and dom_rep.all_passed
@@ -200,8 +198,6 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tconnect", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (computation is deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="combinatorial invariants and predictions")
@@ -248,15 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, SearchSpaceError, ResourceLimitError) as exc:
+    except (CliError, ValueError, SearchSpaceError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -229,24 +229,16 @@ def verify_identities(ledg: DecompositionLedger) -> DecompositionReport:
     return report
 
 
-def verify_main_identities(
-    g: Graph, x: int, t: int, order: Sequence[Iterable[int]] | None = None
-) -> DecompositionReport:
-    return verify_identities(ledger(g, x, t, order))
-
-
-def verify_dominating_intersections(
-    g: Graph, x: int, t: int, order: Sequence[Iterable[int]] | None = None
-) -> DecompositionReport:
+def verify_dominating_intersections(ledg: DecompositionLedger) -> DecompositionReport:
     """Closed form for J_i * K_i at indices i where N[C_i] covers V(G).
 
     There the intersection equals x_{C_i} times the quadratic ideal on
     pairs drawn from B_i and from B_i x (N(C_i) - B_i).  Indices whose
     closed neighborhood misses a vertex are reported not-applicable.
     """
-    ledg = ledger(g, x, t, order)
+    g = ledg.graph
     report = DecompositionReport(
-        x, t, tuple(e.c for e in ledg.entries), tuple(e.b for e in ledg.entries)
+        ledg.x, ledg.t, tuple(e.c for e in ledg.entries), tuple(e.b for e in ledg.entries)
     )
     full = g.vertex_mask
     for idx, entry in enumerate(ledg.entries, start=1):

@@ -230,11 +230,7 @@ def _check_subset(g: Graph, vs: Iterable[int]) -> int:
 
 def neighborhood(g: Graph, c: Iterable[int], closed: bool = False) -> tuple[int, ...]:
     """Open neighborhood N(C) (or closed N[C]) of a vertex set."""
-    cmask = _check_subset(g, c)
-    m = 0
-    for v in iter_bits(cmask):
-        m |= g.adj[v - 1]
-    return vertices_of(m | cmask if closed else m & ~cmask)
+    return vertices_of(neighborhood_mask(g, _check_subset(g, c), closed))
 
 
 def neighborhood_mask(g: Graph, cmask: int, closed: bool = False) -> int:

@@ -22,7 +22,7 @@ from .homology import (
     betti_table_ideal,
     homological_invariants,
 )
-from .ideals import CoverStats, t_connected_ideal
+from .ideals import SquareFreeIdeal, t_connected_ideal
 from .matching import nu_t
 
 
@@ -39,6 +39,7 @@ class Predictions:
     predicted_pd: int | None
     predicted_linear: bool | None
     predicted_cm: bool | None
+    ideal: SquareFreeIdeal = dc_field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,7 +73,7 @@ def predict(g: Graph, t: int) -> Predictions:
         pred = (None, None, None, None)
     return Predictions(
         t, chordal, nu, stats.height, stats.bight, stats.unmixed,
-        ideal.is_zero, *pred,
+        ideal.is_zero, *pred, ideal,
     )
 
 
@@ -139,8 +140,6 @@ def verify_graph(
     """Run oracle and predictions on one graph, record per-statement verdicts."""
     start = time.perf_counter()
     preds = predict(g, t)
-    ideal = t_connected_ideal(g, t)
-    stats: CoverStats = ideal.cover_stats()
     verdicts: list[Verdict] = []
     oracle_json = None
     oracle_skipped = False
@@ -154,7 +153,7 @@ def verify_graph(
         )
 
     try:
-        table = betti_table_ideal(ideal, fld, max_vars=max_vars)
+        table = betti_table_ideal(preds.ideal, fld, max_vars=max_vars)
     except ResourceLimitError as exc:
         oracle_skipped = True
         verdicts.append(Verdict("oracle", "not-applicable", str(exc)))
@@ -163,24 +162,24 @@ def verify_graph(
             time.perf_counter() - start,
         )
 
-    inv = homological_invariants(table, stats.height)
+    inv = homological_invariants(table, preds.height)
     oracle_json = inv.to_json_dict()
 
     lower = (t - 1) * preds.nu_t
     verdicts.append(_bound_verdict("reg_lower_bound", inv.reg, lower))
-    verdicts.append(_bound_verdict("pd_lower_bound", inv.pd, stats.bight))
-    if not preds.is_chordal and inv.pd > stats.bight:
+    verdicts.append(_bound_verdict("pd_lower_bound", inv.pd, preds.bight))
+    if not preds.is_chordal and inv.pd > preds.bight:
         verdicts.append(Verdict(
             "pd_strictness_note", "pass",
-            f"non-chordal graph with pd {inv.pd} > bight {stats.bight} (informational)",
+            f"non-chordal graph with pd {inv.pd} > bight {preds.bight} (informational)",
         ))
 
     if preds.is_chordal:
         verdicts.append(_eq_verdict("reg_formula", inv.reg, lower))
-        verdicts.append(_eq_verdict("pd_formula", inv.pd, stats.bight))
+        verdicts.append(_eq_verdict("pd_formula", inv.pd, preds.bight))
         linear = bool(inv.has_linear_resolution)
         verdicts.append(_eq_verdict("linear_iff_gapfree", linear, preds.nu_t == 1))
-        verdicts.append(_eq_verdict("cm_iff_unmixed", inv.is_cm, stats.unmixed))
+        verdicts.append(_eq_verdict("cm_iff_unmixed", inv.is_cm, preds.unmixed))
     else:
         for name in ("reg_formula", "pd_formula", "linear_iff_gapfree", "cm_iff_unmixed"):
             verdicts.append(Verdict(name, "not-applicable", "graph is not chordal"))
@@ -189,8 +188,8 @@ def verify_graph(
     if cross_fields:
         pairs = {fld.label(): (inv.reg, inv.pd)}
         for extra in cross_fields:
-            xtable = betti_table_ideal(ideal, extra, max_vars=max_vars)
-            xinv = homological_invariants(xtable, stats.height)
+            xtable = betti_table_ideal(preds.ideal, extra, max_vars=max_vars)
+            xinv = homological_invariants(xtable, preds.height)
             pairs[extra.label()] = (xinv.reg, xinv.pd)
             fields.append(extra.label())
         agree = len(set(pairs.values())) == 1

@@ -16,6 +16,10 @@ elementary collapses (removing free face pairs), which preserves the
 homotopy type and hence every homology dimension.  Every evaluation is
 audited: the alternating face-count sum of the original complex must
 equal the alternating homology sum, and no dimension may be negative.
+That audit checks the collapse and non-negativity, not the ranks: the
+rank terms cancel in the alternating sum.  The ranks are audited once
+per table instead: beta_{1,j} must equal the number of generators of
+degree j.
 
 All arithmetic is exact: GF(2) ranks use bitmask elimination, GF(p) uses
 modular elimination, the rationals use fraction-free integer elimination.
@@ -24,6 +28,7 @@ modular elimination, the rationals use fraction-free integer elimination.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .bitset import bit, iter_bits, submasks, vertices_of
@@ -120,14 +125,6 @@ class FaceComplex:
     @property
     def is_void(self) -> bool:
         return all(not fs for fs in self.faces_by_card)
-
-    @property
-    def dim(self) -> int:
-        top = 0
-        for c, fs in enumerate(self.faces_by_card):
-            if fs:
-                top = c
-        return top - 1
 
     def f_vector(self) -> list[int]:
         return [len(fs) for fs in self.faces_by_card]
@@ -372,7 +369,21 @@ def betti_table_ideal(
                 if i < 1:
                     raise HomologyAuditError(f"unexpected top homology for W={vertices_of(w)}")
                 entries[(i, j)] = entries.get((i, j), 0) + d
+    _audit_first_syzygies(ideal, table)
     return table
+
+
+def _audit_first_syzygies(ideal: SquareFreeIdeal, table: BettiTable) -> None:
+    """beta_{1,j} must count the minimal generators of degree j."""
+    _AUDIT["checks"] += 1
+    want = Counter(g.bit_count() for g in ideal.gens)
+    got = {j: b for (i, j), b in table.entries.items() if i == 1}
+    if got != want:
+        _AUDIT["failures"] += 1
+        raise HomologyAuditError(
+            f"audit failed: beta_1 by degree {dict(sorted(got.items()))} but generator "
+            f"degrees {dict(sorted(want.items()))} over {table.field.label()}"
+        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bitset import bit, iter_bits, mask_of, vertices_of
-from .graphs import Graph, is_connected_mask
+from .graphs import Graph, connected_subsets
 
 
 def _as_mask(support: int | Iterable[int]) -> int:
@@ -27,11 +27,7 @@ def _as_mask(support: int | Iterable[int]) -> int:
 
 def minimalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal antichain of the given supports, canonically sorted."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (x.bit_count(), vertices_of(x))):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept, key=vertices_of))
+    return tuple(sorted(_prune_nonminimal(set(masks)), key=vertices_of))
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,6 @@ class SquareFreeIdeal:
             if g & m:
                 raise ValueError("scale requires a support disjoint from every generator")
         return SquareFreeIdeal(self.n, tuple(sorted((g | m for g in self.gens), key=vertices_of)))
-
-    def contains_monomial(self, support: int | Iterable[int]) -> bool:
-        m = _as_mask(support)
-        return any(g & m == g for g in self.gens)
 
     # -- minimal primes / cover statistics ---------------------------------
 
@@ -173,12 +165,7 @@ def t_connected_ideal(g: Graph, t: int) -> SquareFreeIdeal:
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    gens = []
-    for c in combinations(range(1, g.n + 1), t):
-        m = mask_of(c)
-        if is_connected_mask(g, m):
-            gens.append(m)
-    return SquareFreeIdeal(g.n, tuple(gens))
+    return SquareFreeIdeal(g.n, tuple(mask_of(c) for c in connected_subsets(g, t)))
 
 
 def t_clique_ideal(g: Graph, t: int) -> SquareFreeIdeal:

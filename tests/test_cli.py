@@ -1,9 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tconnect
 from tconnect.cli import main
 from tconnect.graphs import chordality, parse_graph
 
@@ -173,6 +177,19 @@ def test_verify_corpus_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("verify --fixture fig1 --t 4 --decompose 5 --order paper --no-meta",
+     "7809a3e5cc129fb31edd39823715a7e25000bd03080f3daec65c6072368793b3"),
+    ("verify --fixture complete --param 5 --t 4 --decompose 1 --no-meta",
+     "6a5c625f03f12c7a00b5e63f9e0cf0f7dd6f7a629f58f246828332c85c140599"),
+    ("analyze --fixture fig1 --t 4",
+     "68f909f50c16e6bb712d5c4b387efdd41816dfb81a66bee56c8d8145f1060577"),
+])
+def test_golden_output(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # -- gen ------------------------------------------------------------------------
 
 
@@ -220,20 +237,21 @@ def test_both_sources_exit2(tmp_path, capsys):
     assert main(["analyze", "--fixture", "fig1", "--path", str(p), "--t", "3"]) == 2
 
 
-def test_bad_threads_exit2(capsys):
-    assert main(["--threads", "0", "analyze", "--fixture", "fig1", "--t", "3"]) == 2
-
-
 def test_verify_single_graph_needs_integer_t(capsys):
     assert main(["verify", "--fixture", "fig1"]) == 2
     assert "integer --t" in capsys.readouterr().err
 
 
 def test_console_entry_point():
+    # The child imports the package this test imported, also when pytest
+    # put src on sys.path itself (pyproject's pythonpath) and not in the environment.
+    src = str(Path(tconnect.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "tconnect", "analyze", "--fixture", "path",
          "--param", "4", "--t", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generators_count"] == 2

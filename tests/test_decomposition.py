@@ -10,7 +10,6 @@ from tconnect.decomposition import (
     ledger,
     verify_dominating_intersections,
     verify_identities,
-    verify_main_identities,
 )
 from tconnect.graphs import (
     fixture,
@@ -112,18 +111,18 @@ def test_ledger_path4():
 
 
 def test_identities_fig1_paper_order():
-    report = verify_main_identities(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    report = verify_identities(ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER))
     assert report.all_passed
     labels = {r.lemma for r in report.records}
     assert labels == {"3.5(1)", "3.5(2a)", "3.5(2b)"}
 
 
 def test_identities_fig1_default_order():
-    assert verify_main_identities(FIG1, 5, 4).all_passed
+    assert verify_identities(ledger(FIG1, 5, 4)).all_passed
 
 
 def test_identities_path4():
-    report = verify_main_identities(fixture("path", 4), 1, 3)
+    report = verify_identities(ledger(fixture("path", 4), 1, 3))
     assert report.all_passed
     assert report.b == ((3,),)
 
@@ -134,7 +133,7 @@ def test_identities_random_chordal():
         g = random_chordal(2 + seed % 9, seed * 11 + 5, 4)
         for x in simplicial_vertices(g):
             for t in (2, 3, 4):
-                report = verify_main_identities(g, x, t)
+                report = verify_identities(ledger(g, x, t))
                 cases += len(report.records)
                 assert report.all_passed, (seed, x, t)
     assert cases > 100
@@ -185,20 +184,20 @@ def test_colon_expansion_via_deleted_graph():
 
 
 def test_dominating_complete5():
-    report = verify_dominating_intersections(fixture("complete", 5), 1, 4)
+    report = verify_dominating_intersections(ledger(fixture("complete", 5), 1, 4))
     assert report.all_passed
     assert all(r.applicable for r in report.records)
     assert len(report.records) == 6  # all connected 3-sets through vertex 1
 
 
 def test_dominating_fig1_not_applicable():
-    report = verify_dominating_intersections(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    report = verify_dominating_intersections(ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER))
     assert report.all_passed
     assert not any(r.applicable for r in report.records)
 
 
 def test_dominating_clique_star_pair():
-    report = verify_dominating_intersections(fixture("clique_star", 3, 1), 2, 3)
+    report = verify_dominating_intersections(ledger(fixture("clique_star", 3, 1), 2, 3))
     assert report.all_passed
     assert report.records  # report generated either way
 
@@ -207,7 +206,7 @@ def test_dominating_clique_star_pair():
 
 
 def test_report_json_shape():
-    report = verify_main_identities(fixture("path", 4), 1, 3)
+    report = verify_identities(ledger(fixture("path", 4), 1, 3))
     data = report.to_json_dict()
     assert data["all_pass"] is True
     assert data["order"] == [[1, 2]]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import tconnect.homology
+
 from tconnect.graphs import disjoint_union, fixture, random_chordal, random_graph
 from tconnect.homology import (
     Field,
@@ -9,6 +11,7 @@ from tconnect.homology import (
     GF2,
     GF3,
     QQ,
+    HomologyAuditError,
     ResourceLimitError,
     audit_stats,
     betti_table_ideal,
@@ -181,6 +184,15 @@ def test_audit_counter_advances():
     after = audit_stats()
     assert after["checks"] > before
     assert after["failures"] == 0
+
+
+def test_audit_rejects_a_wrong_rank(monkeypatch):
+    # The Euler audit cannot see this fault: rank terms cancel in the
+    # alternating sum.  Unchecked it yields beta_{1,3} = 8 for 4 generators.
+    rank_gf2 = tconnect.homology.rank_gf2
+    monkeypatch.setattr(tconnect.homology, "rank_gf2", lambda rows: max(rank_gf2(rows) - 1, 0))
+    with pytest.raises(HomologyAuditError, match="beta_1"):
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
 
 
 # -- derived invariants ----------------------------------------------------------
