@@ -30,7 +30,6 @@ from .graphs import (
 from .ideals import (
     CoverStats,
     SquareFreeIdeal,
-    minimalize,
     t_clique_ideal,
     t_connected_ideal,
     variables_ideal,
@@ -57,7 +56,6 @@ from .homology import (
     betti_table_ideal,
     homological_invariants,
     reduced_homology_dims,
-    reset_audit_stats,
     restricted_complex,
 )
 from .decomposition import (

@@ -54,16 +54,13 @@ def a_x_list(
     return explicit
 
 
-def b_sets(
-    g: Graph, x: int, t: int, order: Sequence[Iterable[int]]
-) -> list[tuple[int, ...]]:
-    """The neighbor sets B_i for the given ordering of the C_i.
+def b_sets(g: Graph, cs: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """The neighbor sets B_i for the ordered C_i, as ``a_x_list`` lists them.
 
     B_1 is the whole open neighborhood of C_1; for later indices a
     neighbor w survives only if C_i + {w} differs from C_j + {w'} for
     every earlier j and every neighbor w' of C_j.
     """
-    cs = a_x_list(g, x, t, order)
     seen: set[int] = set()
     out = []
     for c in cs:
@@ -107,7 +104,7 @@ def ledger(
         raise ValueError(f"vertex {x} is not simplicial")
     cs = a_x_list(g, x, t, order)
     base = t_connected_ideal(g, t)
-    bs = b_sets(g, x, t, cs)
+    bs = b_sets(g, cs)
     entries = []
     k_gens = list(base.gens)
     for c, b in zip(cs, bs):
@@ -118,14 +115,15 @@ def ledger(
         l_ideal = SquareFreeIdeal.make(
             g.n, [(jm | km) & ~cmask for jm in j_ideal.gens for km in k_ideal.gens]
         )
+        open_c = neighborhood_mask(g, cmask)
+        closed_c = open_c | cmask
         mnq = {}
         for w in b:
-            excl = neighborhood_mask(g, cmask, closed=True) | neighborhood_mask(
-                g, bit(w), closed=True
-            )
-            m_ideal = variables_ideal(g.n, iter_bits(neighborhood_mask(g, cmask) & ~bit(w)))
-            n_ideal = variables_ideal(g.n, iter_bits(g.adj[w - 1] & ~neighborhood_mask(g, cmask, closed=True)))
-            q_ideal = SquareFreeIdeal.make(g.n, [m for m in base.gens if not m & excl])
+            excl = closed_c | neighborhood_mask(g, bit(w), closed=True)
+            m_ideal = variables_ideal(g.n, iter_bits(open_c & ~bit(w)))
+            n_ideal = variables_ideal(g.n, iter_bits(g.adj[w - 1] & ~closed_c))
+            # a filter of the canonical base antichain is already canonical
+            q_ideal = SquareFreeIdeal(g.n, tuple(m for m in base.gens if not m & excl))
             mnq[w] = (m_ideal, n_ideal, q_ideal)
         entries.append(LedgerEntry(c, b, j_ideal, k_ideal, l_ideal, mnq))
     return DecompositionLedger(g, x, t, base, tuple(entries))

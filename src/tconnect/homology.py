@@ -54,11 +54,6 @@ def audit_stats() -> dict[str, int]:
     return dict(_AUDIT)
 
 
-def reset_audit_stats() -> None:
-    _AUDIT["checks"] = 0
-    _AUDIT["failures"] = 0
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

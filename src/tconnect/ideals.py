@@ -145,11 +145,6 @@ def _prune_nonminimal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def minimalize(gens: Iterable[int | Iterable[int]], n: int) -> SquareFreeIdeal:
-    """Canonicalize a generator list into a SquareFreeIdeal."""
-    return SquareFreeIdeal.make(n, gens)
-
-
 def variables_ideal(n: int, vs: Iterable[int]) -> SquareFreeIdeal:
     return SquareFreeIdeal.make(n, [[v] for v in vs])
 

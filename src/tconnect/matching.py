@@ -6,15 +6,17 @@ connected t-sets of a graph with no edges between distinct blocks
 ``hypergraph_induced_matching`` packs disjoint hyperedges whose union
 contains no further hyperedge (depth-first search with containment
 pruning).  Both are exact; the test suite checks they agree on the
-hypergraph of connected t-subsets.
+hypergraph of connected t-subsets.  Both graph-side functions share one
+conflict relation built from vertex incidences: the row of a t-set C
+costs one OR of k-bit rows per vertex of N[C], not a walk over subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .bitset import iter_bits, mask_of, submasks, vertices_of
+from .bitset import iter_bits, mask_of, vertices_of
 from .graphs import Graph, connected_subsets, is_connected_mask, neighborhood_mask
 
 
@@ -31,6 +33,19 @@ class MatchingResult:
     blocks: tuple[tuple[int, ...], ...]
 
 
+def _conflict_rows(g: Graph, masks: Sequence[int]) -> Iterator[int]:
+    """Row i has bit j set when masks[j] meets N[masks[i]]; bit i included."""
+    containing = [0] * (g.n + 1)
+    for j, m in enumerate(masks):
+        for v in iter_bits(m):
+            containing[v] |= 1 << j
+    for m in masks:
+        row = 0
+        for v in iter_bits(neighborhood_mask(g, m, closed=True)):
+            row |= containing[v]
+        yield row
+
+
 def is_t_induced_matching(g: Graph, t: int, blocks: Sequence[Iterable[int]]) -> bool:
     """Check: blocks of size t, connected, pairwise disjoint, no cross edges."""
     masks = []
@@ -39,26 +54,19 @@ def is_t_induced_matching(g: Graph, t: int, blocks: Sequence[Iterable[int]]) -> 
         if m & ~g.vertex_mask:
             raise ValueError(f"block {vertices_of(m)} out of vertex range 1..{g.n}")
         masks.append(m)
-    union = 0
-    for m in masks:
-        if m.bit_count() != t or not is_connected_mask(g, m):
-            return False
-        if m & union:
-            return False
-        union |= m
-    for m in masks:
-        closed = neighborhood_mask(g, m, closed=True)
-        if closed & (union & ~m):
-            return False
-    return True
+    if any(m.bit_count() != t or not is_connected_mask(g, m) for m in masks):
+        return False
+    return all(not row & ~(1 << i) for i, row in enumerate(_conflict_rows(g, masks)))
 
 
 def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
     """Maximum t-induced matching of G with a witnessing family.
 
-    Candidates are the connected t-subsets; two candidates conflict when
-    they intersect or a graph edge joins them.  The maximum conflict-free
-    family is found by branch-and-bound seeded with a greedy packing.
+    Candidates are the connected t-subsets; two conflict when they
+    intersect or a graph edge joins them.  Conflict rows come from vertex
+    incidences (one OR of k-bit rows per vertex of N[C], k candidates), and
+    the largest conflict-free family is found by branch-and-bound seeded
+    with a greedy packing.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -70,28 +78,13 @@ def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
     if not cands:
         return MatchingResult(0, ())
 
-    closed = {m: neighborhood_mask(g, m, closed=True) for m in cands}
-    full = g.vertex_mask
-
-    def compat_bits(m: int, index: dict[int, int]) -> int:
-        row = 0
-        avoid = full & ~closed[m]
-        for s in submasks(avoid):
-            j = index.get(s)
-            if j is not None:
-                row |= 1 << j
-        return row
-
-    index0 = {m: i for i, m in enumerate(cands)}
-    degree = {m: len(cands) - 1 - compat_bits(m, index0).bit_count() for m in cands}
+    degree = {m: row.bit_count() - 1 for m, row in zip(cands, _conflict_rows(g, cands))}
     # Branch in descending conflict degree; ties resolved lexicographically.
     order = sorted(cands, key=lambda m: (-degree[m], vertices_of(m)))
-    index = {m: i for i, m in enumerate(order)}
-    compat = [compat_bits(m, index) & ~(1 << index[m]) for m in order]
+    full = (1 << len(order)) - 1
+    compat = [full & ~row for row in _conflict_rows(g, order)]
 
-    best_val = 0
-    best_set: list[int] = []
-    remaining = (1 << len(order)) - 1
+    remaining = full
     chosen: list[int] = []
     while remaining:  # greedy seed, least-conflicted candidates first
         i = remaining.bit_length() - 1
@@ -112,7 +105,7 @@ def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
             best_val, best_set = len(chosen), list(chosen)
 
     if best_val < len(order):
-        search([], (1 << len(order)) - 1)
+        search([], full)
     blocks = sorted(vertices_of(order[i]) for i in best_set)
     return MatchingResult(best_val, tuple(blocks))
 

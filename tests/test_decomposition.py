@@ -56,14 +56,14 @@ def test_a_x_list_t2_single():
 
 
 def test_b_sets_paper_order():
-    bs = b_sets(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    bs = b_sets(FIG1, FIG1_X5_T4_WORKED_ORDER)
     assert bs[0] == (1, 2, 6)
     assert bs[1] == (1, 2, 7, 8)  # 4 is excluded: C_2 + {4} equals C_1 + {6}
     assert 4 not in bs[1]
 
 
 def test_b_sets_path():
-    assert b_sets(fixture("path", 4), 1, 3, [(1, 2)]) == [(3,)]
+    assert b_sets(fixture("path", 4), [(1, 2)]) == [(3,)]
 
 
 # -- ledger ------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from tconnect.graphs import (
 )
 from tconnect.ideals import (
     SquareFreeIdeal,
-    minimalize,
     t_clique_ideal,
     t_connected_ideal,
     variables_ideal,
@@ -32,15 +31,15 @@ def ideal(n, *gens):
 
 
 def test_minimalize_divisibility():
-    assert minimalize([[1, 2], [1, 2, 3]], 3).gens_vertices() == ((1, 2),)
+    assert SquareFreeIdeal.make(3, [[1, 2], [1, 2, 3]]).gens_vertices() == ((1, 2),)
 
 
 def test_minimalize_empty_is_zero():
-    assert minimalize([], 4).is_zero
+    assert SquareFreeIdeal.make(4, []).is_zero
 
 
 def test_minimalize_pair():
-    assert minimalize([[1], [2], [1, 2]], 2).gens_vertices() == ((1,), (2,))
+    assert SquareFreeIdeal.make(2, [[1], [2], [1, 2]]).gens_vertices() == ((1,), (2,))
 
 
 def test_minimalize_idempotent_and_order_free():

@@ -51,6 +51,7 @@ def test_disconnected_block_fails():
 def test_overlapping_blocks_fail():
     g = fixture("complete", 6)
     assert not is_t_induced_matching(g, 3, [(1, 2, 3), (3, 4, 5)])
+    assert not is_t_induced_matching(g, 3, [(1, 2, 3), (1, 2, 3)])
 
 
 def test_block_out_of_range():
@@ -71,6 +72,15 @@ def test_membership_matches_brute_force():
 
 # -- nu_t --------------------------------------------------------------------------
 
+# Witness blocks on fig1, as the README tour prints them; a change of
+# branching order or tie-break would alter them.
+FIG1_BLOCKS = {
+    2: ((1, 2), (5, 6), (9, 10), (12, 13)),
+    3: ((3, 4, 5), (7, 8, 9), (12, 13, 14)),
+    4: ((2, 3, 4, 5), (11, 12, 13, 14)),
+    5: ((1, 2, 3, 4, 5), (10, 11, 12, 13, 14)),
+}
+
 
 def test_nu_table_fig1():
     g = fixture("fig1")
@@ -81,6 +91,8 @@ def test_nu_table_fig1():
         result = nu_t(g, t)
         assert result.value == want, t
         assert is_t_induced_matching(g, t, result.blocks)
+        if t in FIG1_BLOCKS:
+            assert result.blocks == FIG1_BLOCKS[t], t
 
 
 def test_nu_cycle5():
@@ -89,6 +101,14 @@ def test_nu_cycle5():
 
 def test_nu_clique_star():
     assert nu_t(fixture("clique_star", 3, 2), 3).value == 1
+
+
+def test_nu_long_paths_and_cycles():
+    # sparse graphs whose complement of N[C] is large: the conflict rows
+    # must not cost time exponential in n
+    for t in (2, 3):
+        assert nu_t(fixture("path", 40), t).value == 41 // (t + 1)
+        assert nu_t(fixture("cycle", 40), t).value == 40 // (t + 1)
 
 
 def test_nu_requires_t2():
@@ -197,12 +217,14 @@ def test_two_definitions_agree():
     # on the hypergraph of connected t-subsets; a discrepancy here is a
     # release blocker
     cases = 0
-    for seed in range(18):
-        g = random_graph(7, 0.45, seed) if seed % 2 else random_chordal(8, seed, 4)
+    graphs = [random_graph(7, 0.45, seed) if seed % 2 else random_chordal(8, seed, 4)
+              for seed in range(18)]
+    graphs += [random_chordal(20, k, 4) for k in range(7)]
+    for g in graphs:
         for t in (2, 3):
             subsets = connected_subsets(g, t)
             if not subsets:
                 continue
             cases += 1
             assert nu_t(g, t).value == hypergraph_induced_matching_number(subsets, g.n)
-    assert cases > 20
+    assert cases > 34
