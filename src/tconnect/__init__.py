@@ -44,7 +44,6 @@ from .matching import (
 )
 from .homology import (
     BettiTable,
-    FaceComplex,
     Field,
     GF2,
     GF3,
@@ -55,8 +54,6 @@ from .homology import (
     audit_stats,
     betti_table_ideal,
     homological_invariants,
-    reduced_homology_dims,
-    restricted_complex,
 )
 from .decomposition import (
     DecompositionLedger,

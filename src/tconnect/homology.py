@@ -5,11 +5,12 @@ all j-subsets W of the reduced homology dimension in degree j - i - 1 of
 the restriction to W of the Stanley-Reisner complex of I (the faces are
 the subsets containing no generator).  beta_{0,0} is set to 1 directly.
 
-Conventions, fixed once so the sum is right for every generator shape:
-  * the complex {empty set} has one-dimensional homology in degree -1;
-  * the void complex (no faces at all) has zero homology everywhere;
-  * a subset W with a vertex lying in no generator inside W restricts to
-    a cone, so it contributes nothing and is skipped without evaluation.
+One 2^n table answers both questions the sum asks of a subset:
+covered[a] is the union of the generators inside a, so a is a face
+exactly when covered[a] == 0.  A subset W with a vertex lying in no
+generator inside W (covered[W] != W) restricts to a cone, so it
+contributes nothing and is skipped without evaluation.  The complex
+{empty set} has one-dimensional homology in degree -1.
 
 Before ranking boundary matrices, each evaluated complex is shrunk by
 elementary collapses (removing free face pairs), which preserves the
@@ -76,14 +77,6 @@ class Field:
             raise ValueError(f"{self.p} is not prime")
 
     @staticmethod
-    def rationals() -> "Field":
-        return Field(None)
-
-    @staticmethod
-    def gf(p: int) -> "Field":
-        return Field(p)
-
-    @staticmethod
     def parse(text: str) -> "Field":
         t = text.strip().lower()
         if t in ("q", "qq", "rationals"):
@@ -99,45 +92,6 @@ class Field:
 GF2 = Field(2)
 GF3 = Field(3)
 QQ = Field(None)
-
-
-# ---------------------------------------------------------------------------
-# Face complexes
-
-
-@dataclass(frozen=True)
-class FaceComplex:
-    """Faces of a complex grouped by cardinality.
-
-    ``faces_by_card[c]`` lists the faces with c vertices as bitmasks;
-    slot 0 is ``(0,)`` when the empty face is present.  A complex with no
-    faces at all (the void complex) has every slot empty.
-    """
-
-    vertices: int
-    faces_by_card: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_void(self) -> bool:
-        return all(not fs for fs in self.faces_by_card)
-
-    def f_vector(self) -> list[int]:
-        return [len(fs) for fs in self.faces_by_card]
-
-
-def restricted_complex(ideal: SquareFreeIdeal, w) -> FaceComplex:
-    """Restriction to the vertex set ``w`` of the complex whose non-faces
-    contain a generator of the ideal."""
-    wmask = 0
-    for v in w:
-        if not 1 <= v <= ideal.n:
-            raise ValueError(f"vertex {v} out of range 1..{ideal.n}")
-        wmask |= bit(v)
-    cards: list[list[int]] = [[] for _ in range(wmask.bit_count() + 1)]
-    for s in submasks(wmask):
-        if not any(g & s == g for g in ideal.gens):
-            cards[s.bit_count()].append(s)
-    return FaceComplex(wmask, tuple(tuple(sorted(c, key=vertices_of)) for c in cards))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +174,6 @@ def _homology_dims(
     """
     n_cards = len(cards)
     f_orig = [len(c) for c in cards]
-    if not any(f_orig):
-        return [0] * n_cards
     work = _collapse(cards, wmask) if collapse else cards
     f = [len(c) for c in work]
     dims = [0] * n_cards
@@ -241,20 +193,6 @@ def _homology_dims(
             f"audit failed: faces {f_orig} gave dimensions {dims} over {fld.label()}"
         )
     return dims
-
-
-def reduced_homology_dims(cx: FaceComplex, fld: Field, collapse: bool = True) -> list[int]:
-    """Dimensions of reduced homology, one entry per cardinality slot.
-
-    Entry k+1 is the dimension in degree k, starting at degree -1; slots
-    above the dimension of the complex are zero.  The complex {empty
-    face} has one-dimensional homology in degree -1; the void complex
-    returns an empty list (all homology zero).
-    """
-    if cx.is_void:
-        return []
-    cards = [list(fs) for fs in cx.faces_by_card]
-    return _homology_dims(cards, cx.vertices, fld, collapse)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +237,8 @@ def oracle_cap(override: int | None = None) -> int:
         return override
     env = os.environ.get(ORACLE_CAP_ENV)
     if env:
+        if not env.strip().isdecimal():
+            raise ValueError(f"{ORACLE_CAP_ENV} must be a non-negative integer, got {env!r}")
         return int(env)
     return DEFAULT_MAX_ORACLE_VARS
 
@@ -323,21 +263,9 @@ def betti_table_ideal(
     if any(g == 0 for g in ideal.gens):
         raise ValueError("the unit ideal has no Betti table")
 
+    # covered[a] is the union of the generators inside a: a is a face iff
+    # covered[a] == 0, and W restricts to a cone iff covered[W] != W.
     size = 1 << n
-    nonface = bytearray(size)
-    for g in ideal.gens:
-        nonface[g] = 1
-    for a in range(1, size):
-        if nonface[a]:
-            continue
-        rest = a
-        while rest:
-            low = rest & -rest
-            if nonface[a ^ low]:
-                nonface[a] = 1
-                break
-            rest ^= low
-
     covered = [0] * size
     for g in ideal.gens:
         covered[g] = g
@@ -354,7 +282,7 @@ def betti_table_ideal(
         j = w.bit_count()
         cards: list[list[int]] = [[] for _ in range(j + 1)]
         for s in submasks(w):
-            if not nonface[s]:
+            if not covered[s]:
                 cards[s.bit_count()].append(s)
         dims = _homology_dims(cards, w, fld, collapse)
         table.evaluations += 1

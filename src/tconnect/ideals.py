@@ -12,7 +12,6 @@ generator hypergraph; height/big height/unmixedness derive from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bitset import bit, iter_bits, mask_of, vertices_of
@@ -168,7 +167,7 @@ def t_clique_ideal(g: Graph, t: int) -> SquareFreeIdeal:
     if t < 2:
         raise ValueError("t must be >= 2")
     gens = []
-    for c in combinations(range(1, g.n + 1), t):
+    for c in connected_subsets(g, t):  # a clique is connected
         m = mask_of(c)
         if all(m & ~g.adj[v - 1] & ~bit(v) == 0 for v in c):
             gens.append(m)

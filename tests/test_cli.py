@@ -106,6 +106,12 @@ def test_betti_env_cap_override(monkeypatch, capsys):
     assert data["pd"] == 1
 
 
+def test_betti_bad_env_cap_exit2(monkeypatch, capsys):
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "abc")
+    assert main(["betti", "--fixture", "path", "--param", "4", "--t", "3"]) == 2
+    assert "SR_MAX_ORACLE_N" in capsys.readouterr().err
+
+
 # -- verify --------------------------------------------------------------------
 
 

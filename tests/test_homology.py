@@ -7,7 +7,6 @@ import tconnect.homology
 from tconnect.graphs import disjoint_union, fixture, random_chordal, random_graph
 from tconnect.homology import (
     Field,
-    FaceComplex,
     GF2,
     GF3,
     QQ,
@@ -16,8 +15,6 @@ from tconnect.homology import (
     audit_stats,
     betti_table_ideal,
     homological_invariants,
-    reduced_homology_dims,
-    restricted_complex,
 )
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 from tconnect.matching import hypergraph_induced_matching, nu_t
@@ -37,62 +34,12 @@ def test_field_parse():
 
 def test_field_requires_prime():
     with pytest.raises(ValueError):
-        Field.gf(6)
+        Field(6)
     with pytest.raises(ValueError):
         Field.parse("gf9")
 
 
-# -- restricted complexes -----------------------------------------------------
-
-
-def test_restricted_complex_path4():
-    ideal = t_connected_ideal(fixture("path", 4), 3)
-    cx = restricted_complex(ideal, [1, 2, 3])
-    # every subset of {1,2,3} except the full set is a face
-    assert cx.f_vector() == [1, 3, 3, 0]
-
-
-def test_restricted_complex_zero_ideal():
-    cx = restricted_complex(SquareFreeIdeal.zero(4), [1, 2, 4])
-    assert cx.f_vector() == [1, 3, 3, 1]
-
-
-def test_restricted_complex_empty_w():
-    cx = restricted_complex(SquareFreeIdeal.make(3, [[1]]), [])
-    assert cx.f_vector() == [1]
-
-
 # -- reduced homology ----------------------------------------------------------
-
-
-def hollow_triangle():
-    return FaceComplex(0b111, ((0,), (0b001, 0b010, 0b100), (0b011, 0b101, 0b110), ()))
-
-
-def test_homology_hollow_triangle():
-    for fld in (GF2, GF3, QQ):
-        assert reduced_homology_dims(hollow_triangle(), fld) == [0, 0, 1, 0]
-
-
-def test_homology_full_simplex():
-    cx = restricted_complex(SquareFreeIdeal.zero(4), [1, 2, 3, 4])
-    assert all(d == 0 for d in reduced_homology_dims(cx, GF2))
-
-
-def test_homology_two_points():
-    cx = FaceComplex(0b11, ((0,), (0b01, 0b10)))
-    assert reduced_homology_dims(cx, QQ) == [0, 1]
-
-
-def test_homology_empty_complex():
-    cx = FaceComplex(0, ((0,),))
-    assert reduced_homology_dims(cx, GF2) == [1]
-
-
-def test_homology_void_complex():
-    cx = FaceComplex(0, ((),))
-    assert cx.is_void
-    assert reduced_homology_dims(cx, GF2) == []
 
 
 def test_homology_collapse_agrees_with_direct():
@@ -110,11 +57,14 @@ def test_homology_collapse_agrees_with_direct():
 
 
 def test_betti_principal_ideals():
-    for t in (1, 2, 3, 4):
-        ideal = SquareFreeIdeal.make(t, [range(1, t + 1)])
-        table = betti_table_ideal(ideal, GF2)
-        assert table.entries == {(0, 0): 1, (1, t): 1}
-        assert table.reg() == t - 1 and table.pd() == 1
+    # W = all t variables restricts to the boundary of a (t-1)-simplex:
+    # the empty complex at t = 1, two points at t = 2, a hollow triangle at t = 3
+    for fld in (GF2, GF3, QQ):
+        for t in (1, 2, 3, 4):
+            ideal = SquareFreeIdeal.make(t, [range(1, t + 1)])
+            table = betti_table_ideal(ideal, fld)
+            assert table.entries == {(0, 0): 1, (1, t): 1}
+            assert table.reg() == t - 1 and table.pd() == 1
 
 
 def test_betti_path4_resolution():
@@ -168,6 +118,10 @@ def test_betti_cap_env_override(monkeypatch):
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
     table = betti_table_ideal(ideal, GF2)
     assert table.beta(1, 13) == 1
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("SR_MAX_ORACLE_N", bad)
+        with pytest.raises(ValueError, match="SR_MAX_ORACLE_N"):
+            betti_table_ideal(ideal, GF2)
 
 
 def test_betti_json_schema():
@@ -186,13 +140,47 @@ def test_audit_counter_advances():
     assert after["failures"] == 0
 
 
-def test_audit_rejects_a_wrong_rank(monkeypatch):
+@pytest.fixture
+def private_audit(monkeypatch):
+    """A fresh audit counter, so injected failures leave the session-wide one at 0."""
+    audit = {"checks": 0, "failures": 0}
+    monkeypatch.setattr(tconnect.homology, "_AUDIT", audit)
+    return audit
+
+
+def test_audit_rejects_a_wrong_rank(monkeypatch, private_audit):
     # The Euler audit cannot see this fault: rank terms cancel in the
     # alternating sum.  Unchecked it yields beta_{1,3} = 8 for 4 generators.
     rank_gf2 = tconnect.homology.rank_gf2
     monkeypatch.setattr(tconnect.homology, "rank_gf2", lambda rows: max(rank_gf2(rows) - 1, 0))
     with pytest.raises(HomologyAuditError, match="beta_1"):
         betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+
+
+def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
+    ideal = t_connected_ideal(fixture("path", 6), 3)
+    collapse = tconnect.homology._collapse
+
+    def lossy(cards, wmask):
+        out = collapse(cards, wmask)
+        top = max((c for c, fs in enumerate(out) if fs), default=None)
+        if top is not None:
+            out[top].pop()
+        return out
+
+    # the Euler audit compares face counts before collapse with dimensions after it
+    with monkeypatch.context() as m:
+        m.setattr(tconnect.homology, "_collapse", lossy)
+        with pytest.raises(HomologyAuditError, match="audit failed: faces"):
+            betti_table_ideal(ideal, GF2)
+    assert private_audit["failures"] == 1
+
+    # homology in degree |W| - 1 would land in homological degree 0
+    with monkeypatch.context() as m:
+        m.setattr(tconnect.homology, "_homology_dims",
+                  lambda cards, *rest: [0] * (len(cards) - 1) + [1])
+        with pytest.raises(HomologyAuditError, match="unexpected top homology"):
+            betti_table_ideal(ideal, GF2)
 
 
 # -- derived invariants ----------------------------------------------------------
@@ -326,14 +314,6 @@ def rp2_ideal():
 
     nonfaces = [c for c in combinations(range(1, 7), 3) if c not in RP2_FACETS]
     return SquareFreeIdeal.make(6, nonfaces)
-
-
-def test_projective_plane_homology_depends_on_characteristic():
-    cx = restricted_complex(rp2_ideal(), range(1, 7))
-    assert cx.f_vector() == [1, 6, 15, 10, 0, 0, 0]
-    assert reduced_homology_dims(cx, GF2)[:4] == [0, 0, 1, 1]
-    assert reduced_homology_dims(cx, QQ)[:4] == [0, 0, 0, 0]
-    assert reduced_homology_dims(cx, GF3)[:4] == [0, 0, 0, 0]
 
 
 def test_projective_plane_betti_tables():
