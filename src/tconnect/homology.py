@@ -10,7 +10,8 @@ covered[a] is the union of the generators inside a, so a is a face
 exactly when covered[a] == 0.  A subset W with a vertex lying in no
 generator inside W (covered[W] != W) restricts to a cone, so it
 contributes nothing and is skipped without evaluation.  The complex
-{empty set} has one-dimensional homology in degree -1.
+{empty set} has one-dimensional homology in degree -1.  The table's
+memory is estimated against physical memory before it is allocated.
 
 Before ranking boundary matrices, each evaluated complex is shrunk by
 elementary collapses (removing free face pairs), which preserves the
@@ -22,8 +23,11 @@ rank terms cancel in the alternating sum.  The ranks are audited once
 per table instead: beta_{1,j} must equal the number of generators of
 degree j.
 
-All arithmetic is exact: GF(2) ranks use bitmask elimination, GF(p) uses
-modular elimination, the rationals use fraction-free integer elimination.
+All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
+elimination; GF(p) and Q rows are sparse dicts {lower face index: +-1},
+ranked by sparse modular elimination and by sparse fraction-free integer
+elimination.  The collapse and the boundary rows walk one list of W's
+single-bit masks, built once per evaluated W.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from .bitset import bit, iter_bits, submasks, vertices_of
+from .bitset import submasks, vertices_of
 from .ideals import SquareFreeIdeal
 from .linalg import rank_gf2, rank_mod_p, rank_rationals
 
@@ -41,7 +45,7 @@ ORACLE_CAP_ENV = "SR_MAX_ORACLE_N"
 
 
 class ResourceLimitError(RuntimeError):
-    """The ambient variable count exceeds the oracle cap."""
+    """The ambient variable count exceeds the oracle cap or the memory."""
 
 
 class HomologyAuditError(RuntimeError):
@@ -98,7 +102,7 @@ QQ = Field(None)
 # Reduced homology
 
 
-def _collapse(cards: list[list[int]], wmask: int) -> list[list[int]]:
+def _collapse(cards: list[list[int]], wbits: list[int]) -> list[list[int]]:
     """Remove free face pairs until none remain (homotopy-preserving)."""
     alive = set()
     for fs in cards:
@@ -106,8 +110,8 @@ def _collapse(cards: list[list[int]], wmask: int) -> list[list[int]]:
     cof = {}
     for f in alive:
         c = 0
-        for v in iter_bits(wmask & ~f):
-            if f | bit(v) in alive:
+        for b in wbits:
+            if not f & b and f | b in alive:
                 c += 1
         cof[f] = c
     queue = [f for f, c in cof.items() if c == 1]
@@ -116,48 +120,56 @@ def _collapse(cards: list[list[int]], wmask: int) -> list[list[int]]:
         if f not in alive or cof[f] != 1:
             continue
         tau = None
-        for v in iter_bits(wmask & ~f):
-            if f | bit(v) in alive:
-                tau = f | bit(v)
+        for b in wbits:
+            if not f & b and f | b in alive:
+                tau = f | b
                 break
         if tau is None:
             continue
         alive.discard(f)
         alive.discard(tau)
         for gone in (f, tau):
-            for v in iter_bits(gone):
-                sub = gone ^ bit(v)
-                if sub in alive:
-                    cof[sub] -= 1
-                    if cof[sub] == 1:
-                        queue.append(sub)
+            for b in wbits:
+                if gone & b:
+                    sub = gone ^ b
+                    if sub in alive:
+                        cof[sub] -= 1
+                        if cof[sub] == 1:
+                            queue.append(sub)
     out: list[list[int]] = [[] for _ in range(len(cards))]
     for f in alive:
         out[f.bit_count()].append(f)
     return out
 
 
-def _boundary_rank(upper: list[int], lower: list[int], fld: Field) -> int:
-    """Rank of the boundary map from c-faces (upper) to (c-1)-faces (lower)."""
+def _boundary_rank(upper: list[int], lower: list[int], fld: Field, wbits: list[int]) -> int:
+    """Rank of the boundary map from c-faces (upper) to (c-1)-faces (lower).
+
+    GF(2) rows are bitmasks over the lower faces; GF(p) and Q rows are
+    sparse dicts {lower index: +-1}, the sign alternating over the face's
+    vertices in ascending order.
+    """
     if not upper or not lower:
         return 0
-    index = {f: i for i, f in enumerate(lower)}
     if fld.p == 2:
+        index = {f: 1 << i for i, f in enumerate(lower)}
         rows = []
         for f in upper:
             row = 0
-            for v in iter_bits(f):
-                row |= 1 << index[f ^ bit(v)]
+            for b in wbits:
+                if f & b:
+                    row |= index[f ^ b]
             rows.append(row)
         return rank_gf2(rows)
+    index = {f: i for i, f in enumerate(lower)}
     rows = []
-    width = len(lower)
     for f in upper:
-        row = [0] * width
+        row = {}
         sign = 1
-        for v in iter_bits(f):
-            row[index[f ^ bit(v)]] = sign
-            sign = -sign
+        for b in wbits:
+            if f & b:
+                row[index[f ^ b]] = sign
+                sign = -sign
         rows.append(row)
     if fld.p is None:
         return rank_rationals(rows)
@@ -174,14 +186,15 @@ def _homology_dims(
     """
     n_cards = len(cards)
     f_orig = [len(c) for c in cards]
-    work = _collapse(cards, wmask) if collapse else cards
+    wbits = [1 << i for i in range(wmask.bit_length()) if wmask >> i & 1]
+    work = _collapse(cards, wbits) if collapse else cards
     f = [len(c) for c in work]
     dims = [0] * n_cards
     if any(f):
         ranks = [0] * (n_cards + 1)
         ranks[1] = 1 if (f[0] and len(f) > 1 and f[1]) else 0
         for c in range(2, n_cards):
-            ranks[c] = _boundary_rank(work[c], work[c - 1], fld)
+            ranks[c] = _boundary_rank(work[c], work[c - 1], fld, wbits)
         for c in range(n_cards):
             dims[c] = f[c] - ranks[c] - ranks[c + 1]
     _AUDIT["checks"] += 1
@@ -243,6 +256,25 @@ def oracle_cap(override: int | None = None) -> int:
     return DEFAULT_MAX_ORACLE_VARS
 
 
+def _physical_memory() -> int | None:
+    """Physical memory of this machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_table_memory(n: int) -> None:
+    """Refuse a 2^n subset table that does not fit in physical memory."""
+    need = (8 + 32) << n  # per entry: the list slot plus one int object
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ResourceLimitError(
+            f"the oracle's 2^{n} subset table needs about {need >> 20} MiB, "
+            f"more than the {have >> 20} MiB of physical memory"
+        )
+
+
 def betti_table_ideal(
     ideal: SquareFreeIdeal,
     fld: Field = GF2,
@@ -263,6 +295,7 @@ def betti_table_ideal(
     if any(g == 0 for g in ideal.gens):
         raise ValueError("the unit ideal has no Betti table")
 
+    _check_table_memory(n)
     # covered[a] is the union of the generators inside a: a is a face iff
     # covered[a] == 0, and W restricts to a cone iff covered[W] != W.
     size = 1 << n

@@ -1,9 +1,13 @@
 """Exact rank computation over GF(2), GF(p), and the rationals.
 
 GF(2) rows are int bitmasks reduced by XOR pivoting.  GF(p) and rational
-ranks use Gaussian elimination on integer rows; the rational path is
-fraction-free (integer cross-multiplication with gcd normalization), so
-no floating point is involved anywhere.
+rows are sparse: each is a dict from column to a nonzero integer entry,
+so a boundary row costs its c nonzeros rather than the full width.  Both
+eliminate on a row's highest column against a dict of pivot rows.  GF(p)
+pivots are made monic; the rational path stays fraction-free (integer
+cross-multiplication, each new pivot divided by its content), so no
+floating point or Fraction is involved anywhere.  Input rows are never
+modified.
 """
 
 from __future__ import annotations
@@ -26,48 +30,51 @@ def rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    pivots: list[tuple[int, list[int]]] = []  # (column, normalized row)
-    rank = 0
+def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of sparse integer rows ({column: entry})."""
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> monic row
     for row in rows:
-        row = [x % p for x in row]
-        for col, prow in pivots:
+        row = {j: x % p for j, x in row.items() if x % p}
+        while row:
+            col = max(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: x * inv % p for j, x in row.items()}
+                break
             c = row[col]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        norm = [(x * inv) % p for x in row]
-        pivots.append((lead, norm))
-        pivots.sort(key=lambda t: t[0])
-        rank += 1
-    return rank
+            for j, y in prow.items():
+                x = (row.get(j, 0) - c * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]  # c * y != 0 mod p, so j was in row
+    return len(pivots)
 
 
-def rank_rationals(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by exact integer elimination."""
-    pivots: list[tuple[int, list[int]]] = []
-    rank = 0
+def rank_rationals(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows, by exact integer elimination."""
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> primitive row
     for row in rows:
-        row = list(row)
-        for col, prow in pivots:
-            c = row[col]
-            if c:
-                pc = prow[col]
-                g = gcd(pc, c)
-                a, b = pc // g, c // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        pivots.append((lead, row))
-        pivots.sort(key=lambda t: t[0])
-        rank += 1
-    return rank
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            col = max(row)
+            prow = pivots.get(col)
+            if prow is None:
+                g = 0
+                for x in row.values():
+                    g = gcd(g, x)
+                pivots[col] = {j: x // g for j, x in row.items()} if g > 1 else row
+                break
+            pc, c = prow[col], row[col]
+            g = gcd(pc, c)
+            a, b = pc // g, c // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]  # b * y != 0, so j was in row
+    return len(pivots)

@@ -11,7 +11,7 @@ import pytest
 
 from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger, verify_identities
 from tconnect.graphs import fixture, random_graph
-from tconnect.harness import CorpusConfig, batch_verify
+from tconnect.harness import CorpusConfig, batch_verify, verify_graph
 from tconnect.homology import (
     GF2,
     GF3,
@@ -166,8 +166,21 @@ def test_criterion_9_ideal_equality_fixture():
            time.perf_counter() - start, 5)
 
 
+def test_criterion_11_paper_example_oracle_verified():
+    # fig1 has n = 14, over the default oracle cap of 12: lift it explicitly
+    start = time.perf_counter()
+    g = fixture("fig1")
+    for t in (2, 3, 4, 5):
+        report_t = verify_graph(g, t, GF2, max_vars=14)
+        assert not report_t.oracle_skipped, t
+        statuses = {v.statement: v.status for v in report_t.verdicts}
+        for statement in ("reg_formula", "pd_formula", "linear_iff_gapfree", "cm_iff_unmixed"):
+            assert statuses[statement] == "pass", (t, statement, statuses)
+    report("11 (fig1, n=14, oracle-verified at t=2..5)", time.perf_counter() - start, 120)
+
+
 def test_criterion_10_oracle_self_consistency(chordal_corpus, audit_baseline):
-    # chordal_corpus (criteria 4 and 7) plus criteria 5, 6, 8 all route
+    # chordal_corpus (criteria 4 and 7) plus criteria 5, 6, 8, 11 all route
     # through the homology evaluator, whose per-evaluation audit raises on
     # the first inconsistency; confirm evaluations happened and none failed
     stats = audit_stats()

@@ -112,6 +112,12 @@ def test_betti_bad_env_cap_exit2(monkeypatch, capsys):
     assert "SR_MAX_ORACLE_N" in capsys.readouterr().err
 
 
+def test_betti_over_memory_exit2(monkeypatch, capsys):
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 256 << 10)
+    assert main(["betti", "--fixture", "path", "--param", "13", "--t", "13", "--force"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 # -- verify --------------------------------------------------------------------
 
 

@@ -124,6 +124,18 @@ def test_betti_cap_env_override(monkeypatch):
             betti_table_ideal(ideal, GF2)
 
 
+def test_betti_table_memory_checked_before_allocation(monkeypatch):
+    # 2^13 entries of about 40 bytes need 320 KiB; claim 256 KiB of memory
+    ideal = SquareFreeIdeal.make(13, [range(1, 14)])
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 256 << 10)
+    with pytest.raises(ResourceLimitError, match="physical memory"):
+        betti_table_ideal(ideal, GF2, max_vars=13)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 512 << 10)
+    assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
+    assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
+
+
 def test_betti_json_schema():
     table = betti_table_ideal(t_connected_ideal(fixture("path", 4), 3), GF2)
     data = table.to_json_dict()
