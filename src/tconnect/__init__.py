@@ -12,19 +12,13 @@ from .graphs import (
     Graph,
     GraphParseError,
     chordality,
-    components,
     connected_subsets,
-    disjoint_union,
     fixture,
     format_graph,
     graph_from_edges,
     induced_subgraph,
-    is_connected_subset,
-    neighborhood,
     parse_graph,
     random_chordal,
-    random_graph,
-    relabel,
     simplicial_vertices,
 )
 from .ideals import (
@@ -38,7 +32,6 @@ from .matching import (
     MatchingResult,
     SearchSpaceError,
     hypergraph_induced_matching,
-    hypergraph_induced_matching_number,
     is_t_induced_matching,
     nu_t,
 )

@@ -138,7 +138,7 @@ def cmd_betti(args) -> int:
 
 def cmd_verify(args) -> int:
     fld = _parse_field(args.field)
-    cross = (GF3, QQ) if args.cross_field else ()
+    cross = tuple(f for f in (GF2, GF3, QQ) if f != fld) if args.cross_field else ()
     if args.random:
         t_set = tuple(int(t) for t in args.t.split(","))
         config = CorpusConfig(
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="2,3,4", help="t value (single graph) or comma list (corpus)")
     p.add_argument("--field", default="gf2")
     p.add_argument("--cross-field", action="store_true",
-                   help="also check reg/pd over GF(3) and the rationals")
+                   help="also check reg/pd over each other field of GF(2), GF(3), Q")
     p.add_argument("--decompose", type=int, default=None,
                    help="also verify the peeling identities at this simplicial vertex")
     p.add_argument("--order", choices=("default", "paper"), default="default",

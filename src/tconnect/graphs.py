@@ -2,8 +2,10 @@
 
 Provides parsing/formatting of the edge-list text format, named fixtures,
 neighborhoods, induced subgraphs, connectivity, connected t-subset
-enumeration, chordality certificates (Lex-BFS + perfect elimination
-check), simplicial vertices, and seeded random generators.
+enumeration (grown along neighbors from single vertices, so its cost
+follows the output rather than C(n, t); the result is sorted),
+chordality certificates (Lex-BFS + perfect elimination check),
+simplicial vertices, and a seeded random chordal generator.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bitset import bit, iter_bits, mask_of, vertices_of
+from .bitset import bit, iter_bits, vertices_of
 
 
 class GraphParseError(ValueError):
@@ -219,20 +221,6 @@ def _need_params(name: str, params: tuple[int, ...], count: int) -> tuple[int, .
 # Neighborhoods, induced subgraphs, connectivity
 
 
-def _check_subset(g: Graph, vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-        m |= bit(v)
-    return m
-
-
-def neighborhood(g: Graph, c: Iterable[int], closed: bool = False) -> tuple[int, ...]:
-    """Open neighborhood N(C) (or closed N[C]) of a vertex set."""
-    return vertices_of(neighborhood_mask(g, _check_subset(g, c), closed))
-
-
 def neighborhood_mask(g: Graph, cmask: int, closed: bool = False) -> int:
     m = 0
     for v in iter_bits(cmask):
@@ -246,7 +234,11 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     Returns ``(h, old)`` where new vertex i corresponds to old vertex
     ``old[i-1]`` (ascending).
     """
-    wmask = _check_subset(g, w)
+    wmask = 0
+    for v in w:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} out of range 1..{g.n}")
+        wmask |= bit(v)
     old = vertices_of(wmask)
     pos = {v: i + 1 for i, v in enumerate(old)}
     adj = [0] * len(old)
@@ -270,40 +262,26 @@ def is_connected_mask(g: Graph, amask: int) -> bool:
         reached = grow
 
 
-def is_connected_subset(g: Graph, a: Iterable[int]) -> bool:
-    """True iff G[A] is connected; the empty set and singletons count."""
-    return is_connected_mask(g, _check_subset(g, a))
-
-
 def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """All C with |C| = t and G[C] connected, in lexicographic order."""
+    """All C with |C| = t and G[C] connected, in lexicographic order.
+
+    Grown level by level from single vertices: each connected k-set keeps
+    its open neighborhood, and the (k+1)-sets are the k-sets plus one
+    neighbor each, so no disconnected set is ever formed.  The last level
+    is sorted by vertex tuple.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
-    out = []
-    for c in combinations(range(1, g.n + 1), t):
-        if is_connected_mask(g, mask_of(c)):
-            out.append(c)
-    return out
-
-
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, ordered by least element."""
-    seen = 0
-    out = []
-    for v in range(1, g.n + 1):
-        if seen & bit(v):
-            continue
-        comp = bit(v)
-        while True:
-            grow = comp
-            for u in iter_bits(comp):
-                grow |= g.adj[u - 1]
-            if grow == comp:
-                break
-            comp = grow
-        seen |= comp
-        out.append(vertices_of(comp))
-    return out
+    level = {bit(v): g.adj[v - 1] for v in g.vertices()}
+    for _ in range(t - 1):
+        grown: dict[int, int] = {}
+        for c, nbrs in level.items():
+            for w in iter_bits(nbrs):
+                d = c | bit(w)
+                if d not in grown:
+                    grown[d] = (nbrs | g.adj[w - 1]) & ~d
+        level = grown
+    return sorted(vertices_of(c) for c in level)
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +427,3 @@ def _sample_clique(adj: list[int], n_cur: int, size: int, rng: random.Random) ->
         if len(clique) == size:
             return clique
     return [rng.randint(1, n_cur)]
-
-
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Seeded Erdos-Renyi G(n, p)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = random.Random(seed)
-    edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
-    return graph_from_edges(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# Structural helpers
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel vertices: vertex v becomes ``perm[v-1]``."""
-    if sorted(perm) != list(range(1, g.n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; vertices of ``g2`` are shifted by ``g1.n``."""
-    shift = g1.n
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    return graph_from_edges(g1.n + g2.n, edges)

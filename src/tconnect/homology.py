@@ -85,8 +85,9 @@ class Field:
         t = text.strip().lower()
         if t in ("q", "qq", "rationals"):
             return Field(None)
-        if t.startswith("gf"):
-            return Field(int(t[2:].strip("()")))
+        digits = t[2:].strip("()")
+        if t.startswith("gf") and digits.isdecimal():
+            return Field(int(digits))
         raise ValueError(f"unknown field {text!r}; use 'q' or 'gf<p>'")
 
     def label(self) -> str:

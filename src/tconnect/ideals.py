@@ -109,10 +109,6 @@ class SquareFreeIdeal:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gens": [list(v) for v in self.gens_vertices()]}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "SquareFreeIdeal":
-        return SquareFreeIdeal.make(data["n"], data["gens"])
-
 
 @dataclass(frozen=True)
 class CoverStats:

@@ -160,7 +160,3 @@ def hypergraph_induced_matching(
 
     extend(0, [], set(), 0)
     return best_val, tuple(vertices_of(m) for m in best)
-
-
-def hypergraph_induced_matching_number(edges: Sequence[Iterable[int]], n: int) -> int:
-    return hypergraph_induced_matching(edges, n)[0]

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger, verify_identities
-from tconnect.graphs import fixture, random_graph
+from tconnect.graphs import fixture
 from tconnect.harness import CorpusConfig, batch_verify, verify_graph
 from tconnect.homology import (
     GF2,
@@ -21,7 +21,8 @@ from tconnect.homology import (
     homological_invariants,
 )
 from tconnect.ideals import t_clique_ideal, t_connected_ideal
-from tconnect.matching import hypergraph_induced_matching_number, nu_t
+from tconnect.matching import hypergraph_induced_matching, nu_t
+from util import random_graph
 
 
 def report(label, elapsed, budget):
@@ -111,7 +112,7 @@ def test_criterion_6_clique_ideal_gap():
     t, r = 3, 2
     reg = betti_table_ideal(ideal, GF2).reg()
     assert reg == (t - 2) * (r + 1) + 1 == 4
-    nu = hypergraph_induced_matching_number(ideal.gens_vertices(), g.n)
+    nu, _ = hypergraph_induced_matching(ideal.gens_vertices(), g.n)
     assert nu == 1
     assert reg - (t - 1) * nu == (t - 2) * r == 2
     report("6 (clique-ideal regularity gap)", time.perf_counter() - start, 30)

@@ -171,6 +171,23 @@ def test_verify_paper_order_guard(capsys):
     assert "order paper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,cross", [
+    ("gf2", ["GF(3)", "Q"]),
+    ("gf3", ["GF(2)", "Q"]),
+    ("q", ["GF(2)", "GF(3)"]),
+])
+def test_verify_cross_field_checks_every_other_field(capsys, field, cross):
+    code, data = run_json(capsys, ["verify", "--fixture", "path", "--param", "5", "--t", "2",
+                                   "--field", field, "--cross-field", "--no-meta"])
+    assert code == 0
+    primary = "Q" if field == "q" else f"GF({field[2:]})"
+    assert data["fields"] == [primary] + cross
+    verdict = next(v for v in data["verdicts"] if v["statement"] == "field_independence")
+    assert verdict["status"] == "pass"
+    for label in [primary] + cross:
+        assert f"'{label}'" in verdict["reason"]
+
+
 def test_verify_byte_identical(capsys):
     argv = ["verify", "--fixture", "path", "--param", "5", "--t", "3", "--no-meta"]
     main(argv)

@@ -11,14 +11,9 @@ from tconnect.decomposition import (
     verify_dominating_intersections,
     verify_identities,
 )
-from tconnect.graphs import (
-    fixture,
-    induced_subgraph,
-    neighborhood,
-    random_chordal,
-    simplicial_vertices,
-)
+from tconnect.graphs import fixture, induced_subgraph, random_chordal, simplicial_vertices
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal, variables_ideal
+from util import neighborhood
 
 FIG1 = fixture("fig1")
 

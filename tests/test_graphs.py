@@ -1,28 +1,26 @@
 import random
+import time
 
 import pytest
 
+from tconnect.bitset import mask_of, vertices_of
 from tconnect.graphs import (
     FIG1_EDGES,
     Graph,
     GraphParseError,
     chordality,
-    components,
     connected_subsets,
-    disjoint_union,
     fixture,
     format_graph,
     graph_from_edges,
     induced_subgraph,
-    is_connected_subset,
-    neighborhood,
+    is_connected_mask,
+    neighborhood_mask,
     parse_graph,
     random_chordal,
-    random_graph,
-    relabel,
     simplicial_vertices,
 )
-from util import to_networkx
+from util import brute_connected_subsets, disjoint_union, random_graph, relabel, to_networkx
 
 
 # -- parsing ----------------------------------------------------------------
@@ -115,20 +113,21 @@ def test_fixture_errors(name, params):
 
 def test_neighborhood_fig1():
     g = fixture("fig1")
-    assert neighborhood(g, [3, 4, 5]) == (1, 2, 6)
+    assert vertices_of(neighborhood_mask(g, mask_of([3, 4, 5]))) == (1, 2, 6)
 
 
 def test_neighborhood_empty_seed():
-    assert neighborhood(fixture("fig1"), []) == ()
+    assert neighborhood_mask(fixture("fig1"), 0) == 0
 
 
 def test_neighborhood_closed_path():
-    assert neighborhood(fixture("path", 4), [2], closed=True) == (1, 2, 3)
+    closed = neighborhood_mask(fixture("path", 4), mask_of([2]), closed=True)
+    assert vertices_of(closed) == (1, 2, 3)
 
 
-def test_neighborhood_range_error():
-    with pytest.raises(ValueError):
-        neighborhood(fixture("path", 4), [5])
+def test_induced_subgraph_range_error():
+    with pytest.raises(ValueError, match="out of range"):
+        induced_subgraph(fixture("path", 4), [5])
 
 
 def test_induced_subgraph_k4():
@@ -151,11 +150,11 @@ def test_induced_subgraph_cycle_pair():
 
 def test_is_connected_subset():
     p4 = fixture("path", 4)
-    assert is_connected_subset(p4, [1, 2, 3])
-    assert not is_connected_subset(p4, [1, 3])
-    assert is_connected_subset(p4, [])
-    assert is_connected_subset(p4, [3])
-    assert is_connected_subset(fixture("fig1"), [5, 6, 7, 8])
+    assert is_connected_mask(p4, mask_of([1, 2, 3]))
+    assert not is_connected_mask(p4, mask_of([1, 3]))
+    assert is_connected_mask(p4, 0)
+    assert is_connected_mask(p4, mask_of([3]))
+    assert is_connected_mask(fixture("fig1"), mask_of([5, 6, 7, 8]))
 
 
 def test_connected_subsets_path4():
@@ -177,6 +176,32 @@ def test_connected_subsets_are_edges_at_t2():
     for seed in range(10):
         g = random_graph(8, 0.4, seed)
         assert set(connected_subsets(g, 2)) == set(g.edges())
+
+
+def test_connected_subsets_match_brute_force():
+    graphs = [
+        graph_from_edges(0, []),
+        graph_from_edges(5, []),
+        graph_from_edges(7, [(1, 2), (2, 3), (4, 5), (6, 7), (5, 6)]),
+        disjoint_union(fixture("cycle", 4), fixture("complete", 4)),
+    ]
+    for seed in range(40):
+        graphs.append(random_graph(seed % 11, 0.2 + 0.15 * (seed % 5), seed))
+        graphs.append(random_chordal(1 + seed % 10, seed, 1 + seed % 4))
+    for g in graphs:
+        for t in range(1, g.n + 2):
+            assert connected_subsets(g, t) == brute_connected_subsets(g, t), (g, t)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="t must be >= 1"):
+                connected_subsets(g, t)
+
+
+def test_connected_subsets_long_path_is_output_sized():
+    start = time.perf_counter()
+    got = connected_subsets(fixture("path", 400), 3)
+    elapsed = time.perf_counter() - start
+    assert got == [(i, i + 1, i + 2) for i in range(1, 399)]
+    assert elapsed < 1.0, elapsed
 
 
 # -- chordality ----------------------------------------------------------------
@@ -284,23 +309,7 @@ def test_simplicial_deletion_keeps_connectivity():
             for c in connected_subsets(g, size):
                 for x in simp & set(c):
                     rest = [v for v in c if v != x]
-                    assert is_connected_subset(g, rest), (seed, c, x)
-
-
-# -- components ----------------------------------------------------------------
-
-
-def test_components_mixed():
-    g = graph_from_edges(5, [(1, 2), (2, 3), (4, 5)])
-    assert components(g) == [(1, 2, 3), (4, 5)]
-
-
-def test_components_complete():
-    assert components(fixture("complete", 4)) == [(1, 2, 3, 4)]
-
-
-def test_components_edgeless():
-    assert components(graph_from_edges(3, [])) == [(1,), (2,), (3,)]
+                    assert is_connected_mask(g, mask_of(rest)), (seed, c, x)
 
 
 # -- random generators -----------------------------------------------------------
@@ -341,7 +350,6 @@ def test_disjoint_union_shifts():
 def test_empty_graph_edge_cases():
     g = parse_graph("0\n")
     assert g.n == 0 and g.edges() == ()
-    assert components(g) == []
     cert = chordality(g)
     assert cert.is_chordal and cert.peo == ()
     assert connected_subsets(g, 1) == []

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 import tconnect.homology
 
-from tconnect.graphs import disjoint_union, fixture, random_chordal, random_graph
+from tconnect.graphs import fixture, random_chordal
 from tconnect.homology import (
     Field,
     GF2,
@@ -18,7 +19,7 @@ from tconnect.homology import (
 )
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 from tconnect.matching import hypergraph_induced_matching, nu_t
-from util import random_antichain_ideal, shift_ideal
+from util import random_antichain_ideal, random_graph, shift_ideal
 
 
 # -- fields -----------------------------------------------------------------
@@ -30,13 +31,18 @@ def test_field_parse():
     assert Field.parse("GF(7)").p == 7
     assert Field.parse("q").label() == "Q"
     assert GF3.label() == "GF(3)"
+    for text in ("gfx", "gf", "gf()", "gf-3", "z"):
+        message = f"unknown field '{text}'; use 'q' or 'gf<p>'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Field.parse(text)
 
 
 def test_field_requires_prime():
     with pytest.raises(ValueError):
         Field(6)
-    with pytest.raises(ValueError):
-        Field.parse("gf9")
+    for text in ("gf9", "gf1", "GF(15)"):
+        with pytest.raises(ValueError, match="is not prime"):
+            Field.parse(text)
 
 
 # -- reduced homology ----------------------------------------------------------

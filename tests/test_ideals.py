@@ -6,12 +6,9 @@ from tconnect.bitset import bit
 from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger
 from tconnect.graphs import (
     connected_subsets,
-    disjoint_union,
     fixture,
     induced_subgraph,
-    neighborhood,
     random_chordal,
-    random_graph,
     simplicial_vertices,
 )
 from tconnect.ideals import (
@@ -20,7 +17,14 @@ from tconnect.ideals import (
     t_connected_ideal,
     variables_ideal,
 )
-from util import brute_minimal_transversals, random_antichain_ideal, shift_ideal
+from util import (
+    brute_minimal_transversals,
+    disjoint_union,
+    neighborhood,
+    random_antichain_ideal,
+    random_graph,
+    shift_ideal,
+)
 
 
 def ideal(n, *gens):
@@ -355,5 +359,6 @@ def test_bight_simplicial_peeling_bound():
 
 def test_json_round_trip():
     i = ideal(5, [2, 4], [1, 3, 5])
-    assert SquareFreeIdeal.from_json_dict(i.to_json_dict()) == i
+    data = i.to_json_dict()
+    assert SquareFreeIdeal.make(data["n"], data["gens"]) == i
     assert i.to_json_dict() == {"n": 5, "gens": [[1, 3, 5], [2, 4]]}

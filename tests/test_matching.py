@@ -2,23 +2,21 @@ import random
 
 import pytest
 
-from tconnect.graphs import (
-    connected_subsets,
-    fixture,
-    induced_subgraph,
-    neighborhood,
-    random_chordal,
-    random_graph,
-)
+from tconnect.graphs import connected_subsets, fixture, induced_subgraph, random_chordal
 from tconnect.ideals import t_connected_ideal
 from tconnect.matching import (
     SearchSpaceError,
     hypergraph_induced_matching,
-    hypergraph_induced_matching_number,
     is_t_induced_matching,
     nu_t,
 )
-from util import brute_hypergraph_induced_matching, brute_is_t_induced_matching, brute_nu_t
+from util import (
+    brute_hypergraph_induced_matching,
+    brute_is_t_induced_matching,
+    brute_nu_t,
+    neighborhood,
+    random_graph,
+)
 
 
 # -- membership check -----------------------------------------------------------
@@ -168,11 +166,11 @@ def test_nu_drops_when_deleting_closed_neighborhoods():
 
 
 def test_hypergraph_single_edge():
-    assert hypergraph_induced_matching_number([(1, 2, 3)], 5) == 1
+    assert hypergraph_induced_matching([(1, 2, 3)], 5)[0] == 1
 
 
 def test_hypergraph_two_disjoint():
-    assert hypergraph_induced_matching_number([(1, 2), (3, 4)], 4) == 2
+    assert hypergraph_induced_matching([(1, 2), (3, 4)], 4)[0] == 2
 
 
 def test_hypergraph_fig1_t4():
@@ -185,18 +183,18 @@ def test_hypergraph_fig1_t4():
 
 def test_hypergraph_rejects_duplicates():
     with pytest.raises(ValueError):
-        hypergraph_induced_matching_number([(1, 2), (1, 2)], 3)
+        hypergraph_induced_matching([(1, 2), (1, 2)], 3)
 
 
 def test_hypergraph_rejects_nested():
     with pytest.raises(ValueError):
-        hypergraph_induced_matching_number([(1, 2), (1, 2, 3)], 3)
+        hypergraph_induced_matching([(1, 2), (1, 2, 3)], 3)
 
 
 def test_hypergraph_containment_is_global():
     # three pairwise-disjoint pairs whose union swallows a third edge
     edges = [(1, 2), (3, 4), (5, 6), (2, 3, 5)]
-    assert hypergraph_induced_matching_number(edges, 6) == 2
+    assert hypergraph_induced_matching(edges, 6)[0] == 2
 
 
 def test_hypergraph_matches_brute_force():
@@ -208,7 +206,7 @@ def test_hypergraph_matches_brute_force():
         for _ in range(rng.randint(1, 6)):
             pool.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
         edges = sorted(pool)
-        got = hypergraph_induced_matching_number(edges, n)
+        got = hypergraph_induced_matching(edges, n)[0]
         assert got == brute_hypergraph_induced_matching(edges, n)
 
 
@@ -226,5 +224,5 @@ def test_two_definitions_agree():
             if not subsets:
                 continue
             cases += 1
-            assert nu_t(g, t).value == hypergraph_induced_matching_number(subsets, g.n)
+            assert nu_t(g, t).value == hypergraph_induced_matching(subsets, g.n)[0]
     assert cases > 34

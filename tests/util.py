@@ -1,4 +1,5 @@
-"""Independent brute-force oracles and sample generators for the tests.
+"""Independent brute-force oracles, sample generators and graph constructions
+for the tests.
 
 Everything here recomputes results from first principles (exhaustive
 enumeration over subsets), deliberately avoiding the package's own
@@ -58,10 +59,15 @@ def _connected_on(edges, vs):
         reach |= grow
 
 
+def brute_connected_subsets(g: Graph, t):
+    """Connected t-subsets by testing every combination, in lexicographic order."""
+    edges = set(g.edges())
+    return [c for c in combinations(range(1, g.n + 1), t) if _connected_on(edges, c)]
+
+
 def brute_nu_t(g: Graph, t):
     """Exhaustive maximum over families of candidate blocks."""
-    cands = [c for c in combinations(range(1, g.n + 1), t)
-             if _connected_on(set(g.edges()), c)]
+    cands = brute_connected_subsets(g, t)
     best = 0
     for r in range(g.n // t, 0, -1):
         if r <= best:
@@ -100,6 +106,36 @@ def random_antichain_ideal(rng: random.Random, n: int, max_gens: int = 5):
         size = rng.randint(1, n)
         gens.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
     return SquareFreeIdeal.make(n, gens)
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Seeded Erdos-Renyi G(n, p)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rng = random.Random(seed)
+    edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Relabel vertices: vertex v becomes ``perm[v-1]``."""
+    if sorted(perm) != list(range(1, g.n + 1)):
+        raise ValueError("perm must be a permutation of 1..n")
+    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union; vertices of ``g2`` are shifted by ``g1.n``."""
+    shift = g1.n
+    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
+    return graph_from_edges(g1.n + g2.n, edges)
+
+
+def neighborhood(g: Graph, c, closed=False):
+    """Open neighborhood N(C) (or closed N[C]) of a vertex set, sorted."""
+    cs = set(c)
+    out = {u for v in cs for u in g.neighbors(v)}
+    return tuple(sorted(out | cs if closed else out - cs))
 
 
 def to_networkx(g: Graph):
