@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bit(v: int) -> int:
@@ -36,3 +36,23 @@ def submasks(mask: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def incidence_rows(masks: Sequence[int]) -> list[int]:
+    """Per-vertex incidence bitsets: ``rows[v]`` has bit j when ``masks[j]`` contains v.
+
+    Indexed 0..n, n the largest vertex of any mask; row 0 is always 0.  The
+    bits are set in one bytearray per vertex, so the cost is linear in the
+    total size of the masks plus n times the row width.
+    """
+    top = 0
+    for m in masks:
+        top |= m
+    cells = [bytearray((len(masks) + 7) >> 3) for _ in range(top.bit_length() + 1)]
+    for j, m in enumerate(masks):
+        byte, b = j >> 3, 1 << (j & 7)
+        while m:
+            low = m & -m
+            cells[low.bit_length()][byte] |= b
+            m ^= low
+    return [int.from_bytes(c, "little") for c in cells]

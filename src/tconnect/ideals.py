@@ -7,14 +7,28 @@ ideals compare equal structurally.  The zero ideal has no generators.
 
 Minimal primes are the minimal vertex covers (transversals) of the
 generator hypergraph; height/big height/unmixedness derive from them.
+Both the covers and the antichains are computed from per-vertex
+incidence bitsets (``bitset.incidence_rows``), never by comparing a set
+against every kept one:
+
+- a Berge step keeps an extended cover only when each of its old
+  vertices still has a private generator (the ``crit`` test of
+  Murakami and Uno's MMCS), so no cover list is pruned afterwards;
+- a support m contains a kept support iff some kept one avoids every
+  vertex outside m: one AND-NOT against the OR of those vertices' rows
+  (supports are walked by size and tested against the smaller kept ones);
+- a sum of two ideals merges their antichains, dropping only the
+  generators of one that a generator of the other divides.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
-from .bitset import bit, iter_bits, mask_of, vertices_of
+from .bitset import bit, incidence_rows, iter_bits, mask_of, vertices_of
 from .graphs import Graph, connected_subsets
 
 
@@ -26,7 +40,7 @@ def _as_mask(support: int | Iterable[int]) -> int:
 
 def minimalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal antichain of the given supports, canonically sorted."""
-    return tuple(sorted(_prune_nonminimal(set(masks)), key=vertices_of))
+    return tuple(sorted(_prune_nonminimal(masks), key=vertices_of))
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,19 @@ class SquareFreeIdeal:
             raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
 
     def add(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
+        """Sum of two ideals: a merge of two antichains, with no full re-prune.
+
+        A generator of ``other`` is dropped when one of ``self`` divides it;
+        a generator of ``self`` is then dropped when a kept generator of
+        ``other`` divides it, so a generator of both is kept once.
+        """
         self._check_ambient(other)
-        return SquareFreeIdeal(self.n, minimalize_masks(self.gens + other.gens))
+        theirs = _not_above(self.gens, other.gens)
+        mine = _not_above(theirs, self.gens)
+        small, gens = sorted((mine, theirs), key=len)  # both already in canonical order
+        for m in small:
+            insort(gens, m, key=vertices_of)
+        return SquareFreeIdeal(self.n, tuple(gens))
 
     def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check_ambient(other)
@@ -85,9 +110,14 @@ class SquareFreeIdeal:
     def minimal_primes(self) -> tuple[tuple[int, ...], ...]:
         """All minimal transversals of the generator hypergraph, sorted.
 
-        Incremental Berge expansion: fold generators in one at a time,
-        extending the running cover set and pruning non-minimal covers
-        after every step.
+        Berge expansion: fold the generators in one at a time.  A cover
+        that meets the next generator g is kept; one that misses it is
+        extended by each vertex v of g, and the extension is kept only
+        when every old vertex has a private generator (one that meets the
+        extension in that vertex alone).  Every vertex of a kept cover
+        thus has a private generator, so a cover that meets every
+        generator is minimal: the last step leaves exactly the minimal
+        transversals, with no pruning pass.
         """
         if self.is_zero:
             return ()
@@ -119,24 +149,66 @@ class CoverStats:
 
 
 def minimal_transversals(gens: Sequence[int]) -> list[int]:
-    covers = [0]
+    """Minimal transversals of the hypergraph ``gens`` (see ``minimal_primes``).
+
+    The private-generator test reads incidence rows over all generators,
+    not only the ones folded in so far.  A cover it accepts early keeps
+    its private generators to the end, and every minimal cover of a
+    prefix is still reached, because its private generators lie in that
+    prefix.
+    """
+    rows = incidence_rows(gens)
+    covers = {0}
     for g in gens:
         nxt = set()
         for c in covers:
             if c & g:
                 nxt.add(c)
-            else:
-                for v in iter_bits(g):
+                continue
+            old = [rows[u] for u in iter_bits(c)]
+            once = multi = 0  # generators meeting c at least once / at least twice
+            for r in old:
+                multi |= once & r
+                once |= r
+            for v in iter_bits(g):
+                r = rows[v]
+                exact = (once | r) & ~(multi | once & r)  # meet c + v exactly once
+                # v passes: g meets c + v in v alone
+                if all(r_u & exact for r_u in old):
                     nxt.add(c | bit(v))
-        covers = _prune_nonminimal(nxt)
-    return covers
+        covers = nxt
+    return list(covers)
+
+
+def _not_above(kept: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """The masks that contain no support of ``kept``, in their order.
+
+    A support lies inside m iff it has no vertex outside m, that is iff its
+    bit is clear in the OR of the incidence rows of the vertices outside m.
+    """
+    vertex_rows = [(bit(v), r) for v, r in enumerate(incidence_rows(kept)) if r]
+    full = (1 << len(kept)) - 1
+    out = []
+    for m in masks:
+        outside = 0
+        for b, r in vertex_rows:
+            if not m & b:
+                outside |= r
+        if not full & ~outside:
+            out.append(m)
+    return out
 
 
 def _prune_nonminimal(masks: Iterable[int]) -> list[int]:
+    """The distinct inclusion-minimal masks, walked and kept in increasing size.
+
+    Distinct masks of one size never contain one another, so each size is
+    tested only against the masks kept from the smaller sizes: one
+    incidence-row build per size.
+    """
     kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
+    for _, level in groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
+        kept += _not_above(kept, level)
     return kept
 
 

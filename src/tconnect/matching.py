@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import iter_bits, mask_of, vertices_of
+from .bitset import incidence_rows, iter_bits, mask_of, vertices_of
 from .graphs import Graph, connected_subsets, is_connected_mask, neighborhood_mask
 
 
@@ -35,13 +35,11 @@ class MatchingResult:
 
 def _conflict_rows(g: Graph, masks: Sequence[int]) -> Iterator[int]:
     """Row i has bit j set when masks[j] meets N[masks[i]]; bit i included."""
-    containing = [0] * (g.n + 1)
-    for j, m in enumerate(masks):
-        for v in iter_bits(m):
-            containing[v] |= 1 << j
+    containing = incidence_rows(masks)
+    support = (1 << (len(containing) - 1)) - 1  # the vertices that have a row
     for m in masks:
         row = 0
-        for v in iter_bits(neighborhood_mask(g, m, closed=True)):
+        for v in iter_bits(neighborhood_mask(g, m, closed=True) & support):
             row |= containing[v]
         yield row
 

@@ -134,6 +134,16 @@ def test_identities_random_chordal():
     assert cases > 100
 
 
+def test_identities_slow_chordal20_t5():
+    # random_chordal(20, 12, 4) is left out of the benchmark for being slow:
+    # K_i holds up to 1691 generators here, and the sums and intersections
+    # of the identities are the antichain merges and prunes of ideals.py.
+    g = random_chordal(20, 12, 4)
+    report = verify_identities(ledger(g, simplicial_vertices(g)[0], 5))
+    assert report.all_passed
+    assert len(report.records) == 550
+
+
 def test_identity_order_independence_of_endpoints():
     # intermediate B sets depend on the ordering, the end identities do not
     led_a = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)

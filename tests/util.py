@@ -15,16 +15,33 @@ from tconnect.graphs import Graph, graph_from_edges
 
 
 def brute_minimal_transversals(gens_vertices, n):
-    """All minimal hitting sets by scanning every subset of 1..n."""
+    """All minimal hitting sets by scanning every subset of 1..n.
+
+    Hitting is closed upwards, so a hitting set is minimal iff dropping any
+    one of its vertices leaves a set that misses some generator.
+    """
     gens = [frozenset(g) for g in gens_vertices]
-    hitting = []
+
+    def hits(cs):
+        return all(cs & g for g in gens)
+
+    minimal = []
     for r in range(n + 1):
         for cand in combinations(range(1, n + 1), r):
             cs = set(cand)
-            if all(cs & g for g in gens):
-                hitting.append(frozenset(cand))
-    minimal = [h for h in hitting if not any(o < h for o in hitting)]
-    return sorted(tuple(sorted(h)) for h in minimal)
+            if hits(cs) and not any(hits(cs - {v}) for v in cand):
+                minimal.append(cand)
+    return sorted(minimal)
+
+
+def brute_minimalize(masks):
+    """Inclusion-minimal masks, walked and kept in increasing size, each one
+    compared against every mask kept so far."""
+    kept = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
 
 
 def brute_is_t_induced_matching(g: Graph, t, blocks):
