@@ -41,18 +41,13 @@ def submasks(mask: int) -> Iterator[int]:
 def incidence_rows(masks: Sequence[int]) -> list[int]:
     """Per-vertex incidence bitsets: ``rows[v]`` has bit j when ``masks[j]`` contains v.
 
-    Indexed 0..n, n the largest vertex of any mask; row 0 is always 0.  The
-    bits are set in one bytearray per vertex, so the cost is linear in the
-    total size of the masks plus n times the row width.
+    Indexed 0..n, n the largest vertex of any mask; row 0 is always 0.
     """
     top = 0
     for m in masks:
         top |= m
-    cells = [bytearray((len(masks) + 7) >> 3) for _ in range(top.bit_length() + 1)]
+    rows = [0] * (top.bit_length() + 1)
     for j, m in enumerate(masks):
-        byte, b = j >> 3, 1 << (j & 7)
-        while m:
-            low = m & -m
-            cells[low.bit_length()][byte] |= b
-            m ^= low
-    return [int.from_bytes(c, "little") for c in cells]
+        for v in iter_bits(m):
+            rows[v] |= 1 << j
+    return rows

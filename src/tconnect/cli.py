@@ -144,7 +144,6 @@ def cmd_verify(args) -> int:
         config = CorpusConfig(
             count=args.count, n_max=args.n_max, t_set=t_set, seed=args.seed,
             field=fld, max_clique=args.clique_cap, cross_fields=cross,
-            max_vars=args.n_max if args.force else args.cap,
         )
         report = batch_verify(config)
         _emit(report.to_json_dict(include_meta=not args.no_meta))
@@ -154,8 +153,7 @@ def cmd_verify(args) -> int:
         t = int(args.t)
     except ValueError:
         raise CliError(f"single-graph verify needs one integer --t, got {args.t!r}")
-    max_vars = g.n if args.force else args.cap
-    report = verify_graph(g, t, fld, cross_fields=cross, max_vars=max_vars, source=desc)
+    report = verify_graph(g, t, fld, cross_fields=cross, source=desc)
     out = report.to_json_dict(include_meta=not args.no_meta)
     failed = bool(report.failures)
     if args.decompose is not None:
@@ -227,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="gf2")
     p.add_argument("--cross-field", action="store_true",
                    help="also check reg/pd over each other field of GF(2), GF(3), Q")
-    p.add_argument("--cap", type=int, default=None, help="oracle variable cap override")
-    p.add_argument("--force", action="store_true",
-                   help="lift the cap to the graph size (to --n-max with --random)")
     p.add_argument("--decompose", type=int, default=None,
                    help="also verify the peeling identities at this simplicial vertex")
     p.add_argument("--order", choices=("default", "paper"), default="default",

@@ -23,7 +23,6 @@ against every kept one:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -82,10 +81,7 @@ class SquareFreeIdeal:
         self._check_ambient(other)
         theirs = _not_above(self.gens, other.gens)
         mine = _not_above(theirs, self.gens)
-        small, gens = sorted((mine, theirs), key=len)  # both already in canonical order
-        for m in small:
-            insort(gens, m, key=vertices_of)
-        return SquareFreeIdeal(self.n, tuple(gens))
+        return SquareFreeIdeal(self.n, tuple(sorted(mine + theirs, key=vertices_of)))
 
     def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check_ambient(other)

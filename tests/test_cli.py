@@ -188,40 +188,6 @@ def test_verify_cross_field_checks_every_other_field(capsys, field, cross):
         assert f"'{label}'" in verdict["reason"]
 
 
-def test_verify_force_oracle_verifies_fig1(capsys):
-    # fig1 has 14 vertices, over the default cap: without --force the oracle is skipped.
-    code, data = run_json(capsys, ["verify", "--fixture", "fig1", "--t", "2", "--force", "--no-meta"])
-    assert code == 0
-    assert data["oracle_skipped"] is False
-    status = {v["statement"]: v["status"] for v in data["verdicts"]}
-    for name in ("reg_formula", "pd_formula", "linear_iff_gapfree", "cm_iff_unmixed"):
-        assert status[name] == "pass"
-
-
-def test_verify_cap_below_n_reports_the_skip(capsys):
-    code, data = run_json(capsys, ["verify", "--fixture", "fig1", "--t", "2", "--cap", "13", "--no-meta"])
-    assert code == 0
-    assert data["oracle_skipped"] is True
-    assert data["oracle"] is None
-    assert "oracle cap of 13" in data["verdicts"][0]["reason"]
-
-
-def test_verify_corpus_cap_and_force(monkeypatch, capsys):
-    monkeypatch.setenv("SR_MAX_ORACLE_N", "3")
-    argv = ["verify", "--random", "--count", "8", "--n-max", "6", "--t", "2,3", "--no-meta"]
-
-    def oracle_skips(extra):
-        code, data = run_json(capsys, argv + extra)
-        assert code == 0
-        return sum(item["oracle_skipped"] for item in data["items"])
-
-    assert oracle_skips([]) > 0
-    assert oracle_skips(["--cap", "6"]) == 0
-    assert oracle_skips(["--force"]) == 0
-    monkeypatch.delenv("SR_MAX_ORACLE_N")
-    assert oracle_skips(["--cap", "3"]) > 0
-
-
 def test_verify_byte_identical(capsys):
     argv = ["verify", "--fixture", "path", "--param", "5", "--t", "3", "--no-meta"]
     main(argv)
