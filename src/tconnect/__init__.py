@@ -26,7 +26,6 @@ from .ideals import (
     SquareFreeIdeal,
     t_clique_ideal,
     t_connected_ideal,
-    variables_ideal,
 )
 from .matching import (
     MatchingResult,

@@ -118,9 +118,8 @@ def cmd_betti(args) -> int:
     fld = _parse_field(args.field)
     builder = t_clique_ideal if args.ideal == "clique" else t_connected_ideal
     ideal = builder(g, args.t)
-    max_vars = g.n if args.force else args.cap
     try:
-        table = betti_table_ideal(ideal, fld, max_vars=max_vars)
+        table = betti_table_ideal(ideal, fld)
     except ResourceLimitError as exc:
         raise CliError(str(exc))
     stats = ideal.cover_stats()
@@ -209,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--field", default="gf2", help="gf<p> or q (default gf2)")
-    p.add_argument("--cap", type=int, default=None, help="oracle variable cap override")
-    p.add_argument("--force", action="store_true", help="lift the cap to the graph size")
     p.add_argument("--ideal", choices=("connected", "clique"), default="connected")
     p.set_defaults(func=cmd_betti)
 

@@ -3,18 +3,24 @@
 Fix a simplicial vertex x and list the connected (t-1)-sets containing
 it as C_1, ..., C_k.  Each index i carries a set B_i of neighbors w of
 C_i that produce a generator C_i + {w} not already claimed by an earlier
-index, and a family of ideals:
+index, and a family of ideals, each built once:
 
     J_i = x_{C_i} * <w : w in B_i>
     K_i = the generators of the t-connected ideal containing no C_1..C_i
-    L_i = <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>  (minimalized)
-    M_i(w), N_i(w): variable ideals on N(C_i) - {w} and N(w) - N[C_i]
-    Q_i(w): generators avoiding N[C_i] + N[w] entirely
+    R_i(w) = <N(C_i) - {w}> + <N(w) - N[C_i]> + Q_i(w), with Q_i(w) the
+             generators avoiding N[C_i] + N[w] entirely
+    L_i = the sum over w in B_i of x_w * R_i(w)
 
-The verify functions confirm, by canonical-form ideal arithmetic, the
-exchange identities these objects satisfy, plus a closed form for
-J_i * K_i intersections at indices whose closed neighborhood dominates
-the whole graph.  Reports list one record per identity.
+J_i, R_i(w) and L_i come from the graph; the intersection of J_i and K_i
+is built once, from the K side.  The paper's L_i is
+<lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of those generators
+holds its own w in B_i, so that ideal is the sum of x_w * (L_i : x_w),
+and it equals the L_i above wherever every colon identity
+(L_i : x_w) = R_i(w) holds.  The verify functions only compare:
+J_i + K_i with K_{i-1}, the intersection with x_{C_i} * L_i, each
+(L_i : x_w) with R_i(w), and, at indices whose closed neighborhood
+dominates the whole graph, the intersection with its quadratic closed
+form.  Reports list one record per identity.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .bitset import bit, iter_bits, mask_of, vertices_of
 from .graphs import Graph, connected_subsets, neighborhood_mask, simplicial_vertices
-from .ideals import SquareFreeIdeal, t_connected_ideal, variables_ideal
+from .ideals import SquareFreeIdeal, t_connected_ideal
 
 # Order of the nine connected 3-sets around x5 used by the worked
 # 14-vertex example; injected by the CLI flag --order paper.
@@ -79,8 +85,9 @@ class LedgerEntry:
     b: tuple[int, ...]
     j_ideal: SquareFreeIdeal
     k_ideal: SquareFreeIdeal
+    jk_ideal: SquareFreeIdeal  # the intersection of J_i and K_i
     l_ideal: SquareFreeIdeal
-    mnq: dict[int, tuple[SquareFreeIdeal, SquareFreeIdeal, SquareFreeIdeal]]
+    r_ideals: dict[int, SquareFreeIdeal]  # w in B_i -> R_i(w)
 
 
 @dataclass(frozen=True)
@@ -111,21 +118,24 @@ def ledger(
         cmask = mask_of(c)
         k_gens = [m for m in k_gens if m & cmask != cmask]
         k_ideal = SquareFreeIdeal(g.n, tuple(k_gens))
-        j_ideal = SquareFreeIdeal.make(g.n, [cmask | bit(w) for w in b])
-        l_ideal = SquareFreeIdeal.make(
-            g.n, [(jm | km) & ~cmask for jm in j_ideal.gens for km in k_ideal.gens]
-        )
+        # C_i + w for ascending w is already a canonical antichain
+        j_ideal = SquareFreeIdeal(g.n, tuple(cmask | bit(w) for w in b))
         open_c = neighborhood_mask(g, cmask)
         closed_c = open_c | cmask
-        mnq = {}
+        r_ideals = {}
         for w in b:
             excl = closed_c | neighborhood_mask(g, bit(w), closed=True)
-            m_ideal = variables_ideal(g.n, iter_bits(open_c & ~bit(w)))
-            n_ideal = variables_ideal(g.n, iter_bits(g.adj[w - 1] & ~closed_c))
-            # a filter of the canonical base antichain is already canonical
-            q_ideal = SquareFreeIdeal(g.n, tuple(m for m in base.gens if not m & excl))
-            mnq[w] = (m_ideal, n_ideal, q_ideal)
-        entries.append(LedgerEntry(c, b, j_ideal, k_ideal, l_ideal, mnq))
+            # singletons on N(C_i) - w and N(w) - N[C_i], then Q_i(w): the parts
+            # share no vertex and Q_i(w) holds no singleton, so the union is minimal
+            singles = (open_c & ~bit(w)) | (g.adj[w - 1] & ~closed_c)
+            r_gens = [bit(v) for v in iter_bits(singles)] + [m for m in base.gens if not m & excl]
+            r_ideals[w] = SquareFreeIdeal(g.n, tuple(sorted(r_gens, key=vertices_of)))
+        l_ideal = SquareFreeIdeal.make(
+            g.n, [r | bit(w) for w, r_ideal in r_ideals.items() for r in r_ideal.gens]
+        )
+        entries.append(
+            LedgerEntry(c, b, j_ideal, k_ideal, j_ideal.intersect(k_ideal), l_ideal, r_ideals)
+        )
     return DecompositionLedger(g, x, t, base, tuple(entries))
 
 
@@ -204,7 +214,7 @@ def verify_identities(ledg: DecompositionLedger) -> DecompositionReport:
                 "J_i + K_i == K_{i-1}" if ok else _mismatch_detail(lhs, prev),
             )
         )
-        inter = entry.j_ideal.intersect(entry.k_ideal)
+        inter = entry.jk_ideal
         scaled = entry.l_ideal.scale(cmask)
         ok = inter == scaled
         report.records.append(
@@ -214,9 +224,8 @@ def verify_identities(ledg: DecompositionLedger) -> DecompositionReport:
             )
         )
         for w in entry.b:
-            m_ideal, n_ideal, q_ideal = entry.mnq[w]
             lhs_w = entry.l_ideal.colon(bit(w))
-            rhs_w = m_ideal.add(n_ideal).add(q_ideal)
+            rhs_w = entry.r_ideals[w]
             ok = lhs_w == rhs_w
             report.records.append(
                 IdentityRecord(
@@ -254,7 +263,7 @@ def verify_dominating_intersections(ledg: DecompositionLedger) -> DecompositionR
         pairs = [bit(a) | bit(c) for i1, a in enumerate(b_list) for c in b_list[i1 + 1:]]
         pairs += [bit(a) | bit(c) for a in b_list for c in rest]
         rhs = SquareFreeIdeal.make(g.n, pairs).scale(cmask) if pairs else SquareFreeIdeal.zero(g.n)
-        lhs = entry.j_ideal.intersect(entry.k_ideal)
+        lhs = entry.jk_ideal
         ok = lhs == rhs
         report.records.append(
             IdentityRecord(

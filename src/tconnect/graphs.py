@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bitset import bit, iter_bits, vertices_of
 
@@ -28,7 +28,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -45,11 +44,6 @@ class Graph:
             for u in iter_bits(row):
                 if not self.adj[u - 1] & bit(v):
                     raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("label list length does not match vertex count")
-            if len(set(self.labels)) != self.n:
-                raise ValueError("labels must be distinct")
 
     @property
     def vertex_mask(self) -> int:
@@ -84,11 +78,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def graph_from_edges(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    labels: Sequence[str] | None = None,
-) -> Graph:
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
@@ -97,7 +87,7 @@ def graph_from_edges(
             raise ValueError(f"self-loop at vertex {u}")
         adj[u - 1] |= bit(v)
         adj[v - 1] |= bit(u)
-    return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

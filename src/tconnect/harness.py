@@ -223,7 +223,6 @@ class CorpusConfig:
     field: Field = GF2
     max_clique: int = 4
     cross_fields: tuple[Field, ...] = ()
-    max_vars: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,7 +282,6 @@ def batch_verify(config: CorpusConfig) -> CorpusReport:
         for t in sorted(config.t_set):
             item = verify_graph(
                 g, t, config.field, cross_fields=config.cross_fields,
-                max_vars=config.max_vars,
                 source=f"random_chordal(index={idx}, seed={gseed})",
             )
             report.items.append(item)

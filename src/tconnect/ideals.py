@@ -208,10 +208,6 @@ def _prune_nonminimal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def variables_ideal(n: int, vs: Iterable[int]) -> SquareFreeIdeal:
-    return SquareFreeIdeal.make(n, [[v] for v in vs])
-
-
 # ---------------------------------------------------------------------------
 # Ideal builders from graphs
 

@@ -88,15 +88,6 @@ def test_betti_cap_exit2(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_betti_cap_flag_lifts_limit(capsys):
-    args = ["betti", "--fixture", "path", "--param", "13", "--t", "13"]
-    assert main(args) == 2
-    capsys.readouterr()
-    code, data = run_json(capsys, args + ["--cap", "13"])
-    assert code == 0
-    assert {(e["i"], e["j"]): e["beta"] for e in data["entries"]}[(1, 13)] == 1
-
-
 def test_betti_env_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
     code, data = run_json(
@@ -114,7 +105,8 @@ def test_betti_bad_env_cap_exit2(monkeypatch, capsys):
 
 def test_betti_over_memory_exit2(monkeypatch, capsys):
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 256 << 10)
-    assert main(["betti", "--fixture", "path", "--param", "13", "--t", "13", "--force"]) == 2
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
+    assert main(["betti", "--fixture", "path", "--param", "13", "--t", "13"]) == 2
     assert "physical memory" in capsys.readouterr().err
 
 

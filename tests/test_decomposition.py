@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from tconnect.bitset import bit
+from tconnect import decomposition
+from tconnect.bitset import bit, mask_of, vertices_of
 from tconnect.decomposition import (
     FIG1_X5_T4_WORKED_ORDER,
     a_x_list,
@@ -12,8 +14,8 @@ from tconnect.decomposition import (
     verify_identities,
 )
 from tconnect.graphs import fixture, induced_subgraph, random_chordal, simplicial_vertices
-from tconnect.ideals import SquareFreeIdeal, t_connected_ideal, variables_ideal
-from util import neighborhood
+from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
+from util import lcm_l_ideal, neighborhood, variables_ideal
 
 FIG1 = fixture("fig1")
 
@@ -98,22 +100,34 @@ def test_ledger_path4():
     assert entry.b == (3,)
     assert entry.j_ideal.gens_vertices() == ((1, 2, 3),)
     assert entry.k_ideal.gens_vertices() == ((2, 3, 4),)
+    assert entry.jk_ideal.gens_vertices() == ((1, 2, 3, 4),)
     assert entry.l_ideal.gens_vertices() == ((3, 4),)
+    assert entry.r_ideals[3].gens_vertices() == ((4,),)
     assert entry.l_ideal.colon([3]).gens_vertices() == ((4,),)
+
+
+def assert_l_is_lcm_definition(led):
+    # L_i is built from the graph; the paper's lcm definition must agree
+    for e in led.entries:
+        assert e.l_ideal == lcm_l_ideal(led.graph.n, e.c, e.j_ideal, e.k_ideal), e.c
 
 
 # -- identity verification -----------------------------------------------------------
 
 
 def test_identities_fig1_paper_order():
-    report = verify_identities(ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER))
+    led = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    assert_l_is_lcm_definition(led)
+    report = verify_identities(led)
     assert report.all_passed
     labels = {r.lemma for r in report.records}
     assert labels == {"3.5(1)", "3.5(2a)", "3.5(2b)"}
 
 
 def test_identities_fig1_default_order():
-    assert verify_identities(ledger(FIG1, 5, 4)).all_passed
+    led = ledger(FIG1, 5, 4)
+    assert_l_is_lcm_definition(led)
+    assert verify_identities(led).all_passed
 
 
 def test_identities_path4():
@@ -128,7 +142,9 @@ def test_identities_random_chordal():
         g = random_chordal(2 + seed % 9, seed * 11 + 5, 4)
         for x in simplicial_vertices(g):
             for t in (2, 3, 4):
-                report = verify_identities(ledger(g, x, t))
+                led = ledger(g, x, t)
+                assert_l_is_lcm_definition(led)
+                report = verify_identities(led)
                 cases += len(report.records)
                 assert report.all_passed, (seed, x, t)
     assert cases > 100
@@ -139,7 +155,9 @@ def test_identities_slow_chordal20_t5():
     # K_i holds up to 1691 generators here, and the sums and intersections
     # of the identities are the antichain merges and prunes of ideals.py.
     g = random_chordal(20, 12, 4)
-    report = verify_identities(ledger(g, simplicial_vertices(g)[0], 5))
+    led = ledger(g, simplicial_vertices(g)[0], 5)
+    assert_l_is_lcm_definition(led)
+    report = verify_identities(led)
     assert report.all_passed
     assert len(report.records) == 550
 
@@ -183,6 +201,81 @@ def test_colon_expansion_via_deleted_graph():
                 m_part = variables_ideal(g.n, set(neighborhood(g, cset)) - {w})
                 n_part = variables_ideal(g.n, set(g.neighbors(w)) - closed_c)
                 assert entry.l_ideal.colon([w]) == m_part.add(n_part).add(lifted)
+
+
+# -- fault injection: each identity rejects a corrupted ledger ideal ------------------
+
+
+def _failed(report, lemma):
+    return {(r.i, r.w) for r in report.records if r.lemma == lemma and not r.passed}
+
+
+def _with_entry(led, i, **changes):
+    entries = list(led.entries)
+    entries[i - 1] = replace(entries[i - 1], **changes)
+    return replace(led, entries=tuple(entries))
+
+
+def _ledger_without(monkeypatch, g, x, t, m):
+    """The ledger built from a base ideal K_0 that lost the generator m."""
+    base = t_connected_ideal(g, t)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            decomposition, "t_connected_ideal",
+            lambda g, t: SquareFreeIdeal(g.n, tuple(k for k in base.gens if k != m)),
+        )
+        return ledger(g, x, t)
+
+
+def test_fault_sum_identity_drops_j_generator():
+    led = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    j = led.entries[0].j_ideal
+    bad = _with_entry(led, 1, j_ideal=SquareFreeIdeal(j.n, j.gens[1:]))
+    assert _failed(verify_identities(bad), "3.5(1)") == {(1, None)}
+
+
+def test_fault_intersection_identity_drops_k_generator(monkeypatch):
+    # A generator m of K_i that meets N[C_i] lies in no R_i(w), so L_i, built
+    # from the graph, does not read it; where dropping m changes the
+    # intersection of J_i and K_i, the one the ledger builds from K_i must
+    # disagree with x_C * L_i.
+    # (Had L_i been built from the lcms of J_i and K_i, it would follow the
+    # wrong K_i and this check could not fail.)
+    led = ledger(FIG1, 5, 4)
+    cases = 0
+    for m in led.base_ideal.gens:
+        hit = set()
+        for i, e in enumerate(led.entries, start=1):
+            if m not in e.k_ideal.gens or not m & mask_of(neighborhood(FIG1, e.c, closed=True)):
+                continue
+            k_bad = SquareFreeIdeal(e.k_ideal.n, tuple(k for k in e.k_ideal.gens if k != m))
+            if e.j_ideal.intersect(k_bad) != e.j_ideal.intersect(e.k_ideal):
+                hit.add((i, None))
+        if hit:
+            report = verify_identities(_ledger_without(monkeypatch, FIG1, 5, 4, m))
+            assert _failed(report, "3.5(2a)") >= hit, vertices_of(m)
+            cases += len(hit)
+    assert cases == 24
+
+
+def test_fault_colon_identity_drops_rhs_generator():
+    led = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
+    entry = led.entries[0]
+    w = entry.b[0]
+    r = entry.r_ideals[w]
+    bad = _with_entry(
+        led, 1, r_ideals={**entry.r_ideals, w: SquareFreeIdeal(r.n, r.gens[1:])}
+    )
+    assert _failed(verify_identities(bad), "3.5(2b)") == {(1, w)}
+
+
+def test_fault_dominating_formula_drops_k_generator(monkeypatch):
+    # in complete(5), K_4 = <x2 x3 x4 x5> and B_4 = {5}: without that
+    # generator the intersection of J_4 and K_4 is zero, not x_{1,3,4} * <x2 x5>
+    g = fixture("complete", 5)
+    bad = _ledger_without(monkeypatch, g, 1, 4, mask_of((2, 3, 4, 5)))
+    assert _failed(verify_dominating_intersections(bad), "case2") == {(4, None)}
+    assert (4, None) in _failed(verify_identities(bad), "3.5(2a)")
 
 
 # -- dominating-index intersections -----------------------------------------------

@@ -18,7 +18,6 @@ from tconnect.ideals import (
     minimalize_masks,
     t_clique_ideal,
     t_connected_ideal,
-    variables_ideal,
 )
 from util import (
     brute_minimal_transversals,
@@ -28,6 +27,7 @@ from util import (
     random_antichain_ideal,
     random_graph,
     shift_ideal,
+    variables_ideal,
 )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from tconnect.bitset import mask_of
 from tconnect.graphs import Graph, graph_from_edges
 
 
@@ -146,6 +147,23 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     shift = g1.n
     edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
     return graph_from_edges(g1.n + g2.n, edges)
+
+
+def variables_ideal(n, vs):
+    """The ideal generated by the variables x_v, v in vs."""
+    from tconnect.ideals import SquareFreeIdeal
+
+    return SquareFreeIdeal.make(n, [[v] for v in vs])
+
+
+def lcm_l_ideal(n, c, j_ideal, k_ideal):
+    """The paper's L_i: <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>, minimalized."""
+    from tconnect.ideals import SquareFreeIdeal
+
+    cmask = mask_of(c)
+    return SquareFreeIdeal.make(
+        n, [(jm | km) & ~cmask for jm in j_ideal.gens for km in k_ideal.gens]
+    )
 
 
 def neighborhood(g: Graph, c, closed=False):
