@@ -2,8 +2,8 @@
 
 Builds the Stanley-Reisner ideal of the t-independence complex of a
 graph, computes its combinatorial invariants (matching numbers, minimal
-primes, height and big height), computes graded Betti numbers by a
-brute-force homological oracle, and verifies the combinatorial formulas
+primes, height and big height), computes graded Betti numbers by an
+exact homological oracle (Hochster's formula), and verifies the combinatorial formulas
 against the oracle on fixtures and random corpora.
 """
 
@@ -30,8 +30,6 @@ from .ideals import (
 from .matching import (
     MatchingResult,
     SearchSpaceError,
-    hypergraph_induced_matching,
-    is_t_induced_matching,
     nu_t,
 )
 from .homology import (

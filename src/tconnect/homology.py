@@ -1,4 +1,4 @@
-"""Graded Betti numbers of R/I by brute-force evaluation of Hochster's sum.
+"""Graded Betti numbers of R/I by evaluating Hochster's sum.
 
 For a square-free ideal I, beta_{i,j}(R/I) with i >= 1 is the sum over
 all j-subsets W of the reduced homology dimension in degree j - i - 1 of
@@ -10,18 +10,37 @@ covered[a] is the union of the generators inside a, so a is a face
 exactly when covered[a] == 0.  A subset W with a vertex lying in no
 generator inside W (covered[W] != W) restricts to a cone, so it
 contributes nothing and is skipped without evaluation.  The complex
-{empty set} has one-dimensional homology in degree -1.  The table's
-memory is estimated against physical memory before it is allocated.
+{empty set} has one-dimensional homology in degree -1.
 
-Before ranking boundary matrices, each evaluated complex is shrunk by
-elementary collapses (removing free face pairs), which preserves the
-homotopy type and hence every homology dimension.  Every evaluation is
-audited: the alternating face-count sum of the original complex must
-equal the alternating homology sum, and no dimension may be negative.
-That audit checks the collapse and non-negativity, not the ranks: the
-rank terms cancel in the alternating sum.  The ranks are audited once
-per table instead: beta_{1,j} must equal the number of generators of
-degree j.
+A non-cone W is then reduced by a strong collapse (Barmak and Minian's
+dominated vertices) where it can be.  The restriction to W is the union
+of its deletion of v (the restriction to W - v) and the star of v, which
+meet in the link of v.  When that link is a cone, both the star and the
+link are contractible, so the restriction to W has the homology of the
+restriction to W - v, degree by degree: its beta moves from (i, j - 1) to
+(i + 1, j) with no evaluation.  The link of v restricted to W - v is the
+complex of the colon ideal (I : x_v), so the cone test is the one above,
+on the ``covered`` table of (I : x_v) over the subsets avoiding v.  These
+colon tables are built one vertex at a time, and ``via[W]`` records v + 1
+for the first vertex whose link is a cone (0 for none).  W is walked in
+ascending order, so W - v is always done before W; only the W with
+nonzero homology keep their dimensions.  The memory of every table is
+estimated against physical memory before any is allocated.
+
+The remaining W are evaluated: each complex is shrunk by elementary
+collapses (removing free face pairs), which preserves the homotopy type
+and hence every homology dimension, and boundary matrices are ranked.
+Every W in the sum is audited.  For an evaluated W, the alternating
+face-count sum of the original complex must equal the alternating
+homology sum, and no dimension may be negative.  For a derived W, the
+alternating homology sum must equal chi[W], the reduced Euler
+characteristic from the Euler table: the zeta transform (subset sums) of
+the signed face indicator, built once.  A wrong derivation changes the
+Euler characteristic by that of the link, so it fails the audit whenever
+the link's is nonzero.  These audits check the collapses and
+non-negativity, not the ranks: the rank terms cancel in the alternating
+sum.  The ranks are audited once per table instead: beta_{1,j} must equal
+the number of generators of degree j.
 
 All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
 elimination; GF(p) and Q rows are sparse dicts {lower face index: +-1},
@@ -35,6 +54,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import add, or_
 
 from .bitset import submasks, vertices_of
 from .ideals import SquareFreeIdeal
@@ -177,9 +197,12 @@ def _boundary_rank(upper: list[int], lower: list[int], fld: Field, wbits: list[i
     return rank_mod_p(rows, fld.p)
 
 
-def _homology_dims(
-    cards: list[list[int]], wmask: int, fld: Field, collapse: bool = True
-) -> list[int]:
+def _euler(counts) -> int:
+    """Alternating sum of face counts or homology dimensions indexed from degree -1."""
+    return sum(x if c % 2 else -x for c, x in enumerate(counts))
+
+
+def _homology_dims(cards: list[list[int]], wmask: int, fld: Field) -> list[int]:
     """Reduced homology dimensions, indexed from degree -1.
 
     Audits every evaluation: the alternating sum of the original face
@@ -188,7 +211,7 @@ def _homology_dims(
     n_cards = len(cards)
     f_orig = [len(c) for c in cards]
     wbits = [1 << i for i in range(wmask.bit_length()) if wmask >> i & 1]
-    work = _collapse(cards, wbits) if collapse else cards
+    work = _collapse(cards, wbits)
     f = [len(c) for c in work]
     dims = [0] * n_cards
     if any(f):
@@ -199,9 +222,7 @@ def _homology_dims(
         for c in range(n_cards):
             dims[c] = f[c] - ranks[c] - ranks[c + 1]
     _AUDIT["checks"] += 1
-    euler_faces = sum(f_orig[c] if c % 2 else -f_orig[c] for c in range(n_cards))
-    euler_homology = sum(dims[c] if c % 2 else -dims[c] for c in range(n_cards))
-    if euler_faces != euler_homology or any(d < 0 for d in dims):
+    if _euler(f_orig) != _euler(dims) or any(d < 0 for d in dims):
         _AUDIT["failures"] += 1
         raise HomologyAuditError(
             f"audit failed: faces {f_orig} gave dimensions {dims} over {fld.label()}"
@@ -218,7 +239,8 @@ class BettiTable:
     n: int
     field: Field
     entries: dict[tuple[int, int], int] = dc_field(default_factory=dict)
-    evaluations: int = 0
+    evaluations: int = 0  # W whose homology was computed by collapse and ranks
+    derived: int = 0  # W whose homology was taken from W - v (a cone link)
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -266,21 +288,96 @@ def _physical_memory() -> int | None:
 
 
 def _check_table_memory(n: int) -> None:
-    """Refuse a 2^n subset table that does not fit in physical memory."""
-    need = (8 + 32) << n  # per entry: the list slot plus one int object
+    """Refuse the oracle's subset tables when they do not fit in physical memory.
+
+    Counted per subset: ``covered`` and the Euler table (a list slot plus
+    one int object each), one byte of ``via``, half an entry of the one
+    colon table alive at a time, and the list slots a fold's slices copy
+    (at most one and a half).
+    """
+    need = (2 * (8 + 32) + 1 + (8 + 32) // 2 + 12) << n
     have = _physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
-            f"the oracle's 2^{n} subset table needs about {need >> 20} MiB, "
+            f"the oracle's 2^{n} subset tables need about {need >> 20} MiB, "
             f"more than the {have >> 20} MiB of physical memory"
         )
+
+
+def _zeta(table: list[int], op) -> list[int]:
+    """Fold each entry over its subsets in place: table[a] = op over table[s], s ⊆ a.
+
+    Bit by bit, every a with the bit set takes op(table[a], table[a - bit]),
+    done by slices: one per block of such a when the blocks are long, one
+    per offset inside a block (a stride-2*step progression) when they are
+    short, so no bit costs more than sqrt(len(table)) slice operations.
+    """
+    size = len(table)
+    step = 1
+    while step < size:
+        span = step << 1
+        if step * step < size:
+            for r in range(step):
+                table[step + r::span] = map(op, table[step + r::span], table[r::span])
+        else:
+            for hi in range(step, size, span):
+                table[hi:hi + step] = map(op, table[hi:hi + step], table[hi - step:hi])
+        step = span
+    return table
+
+
+def _covered_table(gens, n: int) -> list[int]:
+    """covered[a] is the union of the generators (bitmasks over n bits) inside a."""
+    covered = [0] * (1 << n)
+    for g in gens:
+        covered[g] = g
+    return _zeta(covered, or_)
+
+
+def _euler_table(covered: list[int]) -> list[int]:
+    """chi[a] is the reduced Euler characteristic of the restriction to a.
+
+    The zeta transform of the signed face indicator: a face F counts
+    (-1)^(|F| - 1), so the empty face counts -1.
+    """
+    chi = [0 if c else a.bit_count() % 2 * 2 - 1 for a, c in enumerate(covered)]
+    return _zeta(chi, add)
+
+
+def _colon_covered(ideal: SquareFreeIdeal, b: int) -> list[int] | None:
+    """The ``covered`` table of (I : x_v), v the vertex of bit b.
+
+    It spans the 2^(n-1) subsets that avoid v, each indexed by its mask
+    with bit b squeezed out.  None when {v} is a generator: v is then no
+    vertex of the complex and has no link.
+    """
+    bit_b = 1 << b
+    if bit_b in ideal.gens:
+        return None
+    low = bit_b - 1
+    squeezed = ((g & low) | (g >> 1 & ~low) for g in ideal.colon(bit_b).gens)
+    return _covered_table(squeezed, ideal.n - 1)
+
+
+def _mark_cone_links(via: bytearray, covered: list[int], cov_v: list[int], b: int) -> None:
+    """Set via[W] = b + 1 on each unmarked non-cone W whose link of bit b is a cone.
+
+    The link of v in the restriction to W is the complex of (I : x_v)
+    restricted to W - v, so it is a cone iff cov_v[W - v] != W - v.
+    """
+    bit_b = 1 << b
+    low = bit_b - 1
+    for s in range(len(cov_v)):
+        if cov_v[s] != s:
+            w = (s & low) | (s & ~low) << 1 | bit_b
+            if not via[w] and covered[w] == w:
+                via[w] = b + 1
 
 
 def betti_table_ideal(
     ideal: SquareFreeIdeal,
     fld: Field = GF2,
     max_vars: int | None = None,
-    collapse: bool = True,
 ) -> BettiTable:
     """Full graded Betti table of R/I via the Hochster sum over subsets."""
     n = ideal.n
@@ -288,7 +385,7 @@ def betti_table_ideal(
     if n > cap:
         raise ResourceLimitError(
             f"{n} variables exceed the oracle cap of {cap}; "
-            f"raise it explicitly to force the computation"
+            f"set {ORACLE_CAP_ENV} to raise it"
         )
     table = BettiTable(n, fld, {(0, 0): 1})
     if ideal.is_zero:
@@ -297,29 +394,41 @@ def betti_table_ideal(
         raise ValueError("the unit ideal has no Betti table")
 
     _check_table_memory(n)
-    # covered[a] is the union of the generators inside a: a is a face iff
-    # covered[a] == 0, and W restricts to a cone iff covered[W] != W.
     size = 1 << n
-    covered = [0] * size
-    for g in ideal.gens:
-        covered[g] = g
+    # a is a face iff covered[a] == 0, and W restricts to a cone iff covered[W] != W
+    covered = _covered_table(ideal.gens, n)
+    chi = _euler_table(covered)
+    via = bytearray(size)
     for b in range(n):
-        step = 1 << b
-        for a in range(size):
-            if a & step:
-                covered[a] |= covered[a ^ step]
+        cov_v = _colon_covered(ideal, b)
+        if cov_v is not None:
+            _mark_cone_links(via, covered, cov_v, b)
+        del cov_v  # one colon table alive at a time
 
     entries = table.entries
+    nonzero: dict[int, list[int]] = {}  # dims of the W with nonzero homology
     for w in range(1, size):
         if covered[w] != w:
             continue  # some vertex of W lies in no generator inside W: a cone
         j = w.bit_count()
-        cards: list[list[int]] = [[] for _ in range(j + 1)]
-        for s in submasks(w):
-            if not covered[s]:
-                cards[s.bit_count()].append(s)
-        dims = _homology_dims(cards, w, fld, collapse)
-        table.evaluations += 1
+        if via[w]:
+            # the link of v is a cone, so the restriction to W is homotopy
+            # equivalent to the restriction to W - v, which came first
+            dims = nonzero.get(w ^ (1 << via[w] - 1))
+            _audit_derived(dims, chi[w], w, fld)
+            table.derived += 1
+            if dims is None:
+                continue
+        else:
+            cards: list[list[int]] = [[] for _ in range(j + 1)]
+            for s in submasks(w):
+                if not covered[s]:
+                    cards[s.bit_count()].append(s)
+            dims = _homology_dims(cards, w, fld)
+            table.evaluations += 1
+            if not any(dims):
+                continue
+        nonzero[w] = dims
         for c, d in enumerate(dims):
             if d:
                 i = j - c  # homological degree for homology degree c - 1
@@ -328,6 +437,17 @@ def betti_table_ideal(
                 entries[(i, j)] = entries.get((i, j), 0) + d
     _audit_first_syzygies(ideal, table)
     return table
+
+
+def _audit_derived(dims: list[int] | None, chi: int, w: int, fld: Field) -> None:
+    """A derived W must have the Euler characteristic its faces give."""
+    _AUDIT["checks"] += 1
+    if _euler(dims or ()) != chi:
+        _AUDIT["failures"] += 1
+        raise HomologyAuditError(
+            f"audit failed: W={vertices_of(w)} derived dimensions {dims} but its faces "
+            f"give Euler characteristic {chi} over {fld.label()}"
+        )
 
 
 def _audit_first_syzygies(ideal: SquareFreeIdeal, table: BettiTable) -> None:

@@ -130,11 +130,6 @@ class SquareFreeIdeal:
         height, bight = min(sizes), max(sizes)
         return CoverStats(height, bight, height == bight, covers)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "gens": [list(v) for v in self.gens_vertices()]}
-
 
 @dataclass(frozen=True)
 class CoverStats:

@@ -1,23 +1,18 @@
 """Exact t-induced matching numbers.
 
-Two routes, matching the two definitions: ``nu_t`` packs disjoint
-connected t-sets of a graph with no edges between distinct blocks
-(branch-and-bound over a conflict graph), while
-``hypergraph_induced_matching`` packs disjoint hyperedges whose union
-contains no further hyperedge (depth-first search with containment
-pruning).  Both are exact; the test suite checks they agree on the
-hypergraph of connected t-subsets.  Both graph-side functions share one
-conflict relation built from vertex incidences: the row of a t-set C
+``nu_t`` packs disjoint connected t-sets of a graph with no edges
+between distinct blocks, by branch-and-bound over a conflict graph.  The
+conflict relation is built from vertex incidences: the row of a t-set C
 costs one OR of k-bit rows per vertex of N[C], not a walk over subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bitset import incidence_rows, iter_bits, mask_of, vertices_of
-from .graphs import Graph, connected_subsets, is_connected_mask, neighborhood_mask
+from .graphs import Graph, connected_subsets, neighborhood_mask
 
 
 class SearchSpaceError(RuntimeError):
@@ -42,19 +37,6 @@ def _conflict_rows(g: Graph, masks: Sequence[int]) -> Iterator[int]:
         for v in iter_bits(neighborhood_mask(g, m, closed=True) & support):
             row |= containing[v]
         yield row
-
-
-def is_t_induced_matching(g: Graph, t: int, blocks: Sequence[Iterable[int]]) -> bool:
-    """Check: blocks of size t, connected, pairwise disjoint, no cross edges."""
-    masks = []
-    for b in blocks:
-        m = mask_of(b)
-        if m & ~g.vertex_mask:
-            raise ValueError(f"block {vertices_of(m)} out of vertex range 1..{g.n}")
-        masks.append(m)
-    if any(m.bit_count() != t or not is_connected_mask(g, m) for m in masks):
-        return False
-    return all(not row & ~(1 << i) for i, row in enumerate(_conflict_rows(g, masks)))
 
 
 def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
@@ -106,55 +88,3 @@ def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
         search([], full)
     blocks = sorted(vertices_of(order[i]) for i in best_set)
     return MatchingResult(best_val, tuple(blocks))
-
-
-def hypergraph_induced_matching(
-    edges: Sequence[Iterable[int]], n: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Maximum induced matching of a hypergraph, with witness.
-
-    A valid family consists of pairwise-disjoint edges whose union
-    contains no edge outside the family.  Violations cannot be repaired
-    by growing the family, so the search prunes as soon as a foreign
-    edge lands inside the running union.
-    """
-    masks = sorted({mask_of(e) for e in edges}, key=vertices_of)
-    if len(masks) != len(edges):
-        raise ValueError("edges must be distinct")
-    if any(m == 0 for m in masks):
-        raise ValueError("edges must be nonempty")
-    by_size: dict[int, list[int]] = {}
-    for m in masks:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for s1, group1 in by_size.items():
-        for s2, group2 in by_size.items():
-            if s1 < s2 and any(a & b == a for a in group1 for b in group2):
-                raise ValueError("edges must form an antichain")
-    if not masks:
-        return 0, ()
-    min_size = min(by_size)
-
-    best_val = 0
-    best: tuple[int, ...] = ()
-
-    def extend(start: int, chosen: list[int], chosen_set: set[int], union: int) -> None:
-        nonlocal best_val, best
-        if len(chosen) > best_val:
-            best_val, best = len(chosen), tuple(chosen)
-        if len(chosen) + (n - union.bit_count()) // min_size <= best_val:
-            return
-        for idx in range(start, len(masks)):
-            e = masks[idx]
-            if e & union:
-                continue
-            union2 = union | e
-            if any(f & ~union2 == 0 and f != e and f not in chosen_set for f in masks):
-                continue
-            chosen.append(e)
-            chosen_set.add(e)
-            extend(idx + 1, chosen, chosen_set, union2)
-            chosen_set.discard(e)
-            chosen.pop()
-
-    extend(0, [], set(), 0)
-    return best_val, tuple(vertices_of(m) for m in best)

@@ -21,8 +21,8 @@ from tconnect.homology import (
     homological_invariants,
 )
 from tconnect.ideals import t_clique_ideal, t_connected_ideal
-from tconnect.matching import hypergraph_induced_matching, nu_t
-from util import random_graph
+from tconnect.matching import nu_t
+from util import hypergraph_induced_matching, random_graph
 
 
 def report(label, elapsed, budget):

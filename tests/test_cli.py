@@ -200,7 +200,7 @@ def test_verify_corpus_byte_identical(capsys):
 
 @pytest.mark.parametrize("argv,digest", [
     ("verify --fixture fig1 --t 4 --decompose 5 --order paper --no-meta",
-     "7809a3e5cc129fb31edd39823715a7e25000bd03080f3daec65c6072368793b3"),
+     "eddb74143618fb7dec396f23721b0fa2018b599f2f989f8eb1f3e829a9f169ab"),
     ("verify --fixture complete --param 5 --t 4 --decompose 1 --no-meta",
      "6a5c625f03f12c7a00b5e63f9e0cf0f7dd6f7a629f58f246828332c85c140599"),
     ("analyze --fixture fig1 --t 4",

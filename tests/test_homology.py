@@ -5,7 +5,7 @@ import pytest
 
 import tconnect.homology
 
-from tconnect.graphs import fixture, random_chordal
+from tconnect.graphs import fixture, induced_subgraph, random_chordal
 from tconnect.homology import (
     Field,
     GF2,
@@ -18,8 +18,14 @@ from tconnect.homology import (
     homological_invariants,
 )
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
-from tconnect.matching import hypergraph_induced_matching, nu_t
-from util import random_antichain_ideal, random_graph, shift_ideal
+from util import (
+    brute_betti_table,
+    brute_non_cone_count,
+    hypergraph_induced_matching,
+    random_antichain_ideal,
+    random_graph,
+    shift_ideal,
+)
 
 
 # -- fields -----------------------------------------------------------------
@@ -48,15 +54,43 @@ def test_field_requires_prime():
 # -- reduced homology ----------------------------------------------------------
 
 
+def assert_matches_reference(ideal):
+    """Equal tables to the brute Hochster sum over every field, and every
+    non-cone W either evaluated or derived.  Returns the derived count."""
+    non_cones = brute_non_cone_count(ideal.gens_vertices(), ideal.n)
+    derived = set()
+    for fld in (GF2, GF3, QQ):
+        table = betti_table_ideal(ideal, fld)
+        assert table.entries == brute_betti_table(ideal.gens_vertices(), ideal.n, fld.p)
+        assert table.evaluations + table.derived == non_cones
+        derived.add(table.derived)
+    assert len(derived) == 1  # the strong collapse does not depend on the field
+    return derived.pop()
+
+
 def test_homology_collapse_agrees_with_direct():
     rng = random.Random(23)
+    degree_one = derived = 0
     for _ in range(40):
         n = rng.randint(1, 7)
         ideal = random_antichain_ideal(rng, n, max_gens=6)
-        for fld in (GF2, GF3, QQ):
-            a = betti_table_ideal(ideal, fld, collapse=True)
-            b = betti_table_ideal(ideal, fld, collapse=False)
-            assert a.entries == b.entries
+        degree_one += any(g.bit_count() == 1 for g in ideal.gens)
+        derived += assert_matches_reference(ideal)
+    assert degree_one and derived
+
+
+def test_betti_tables_match_reference_on_chordal_graphs():
+    fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 10))
+    derived = 0
+    for t in (2, 3, 4, 5):
+        derived += assert_matches_reference(t_connected_ideal(fig1_prefix, t))
+    assert derived
+    for seed in range(6):
+        g = random_chordal(5 + seed % 4, seed * 7 + 2, 4)
+        for t in (2, 3):
+            ideal = t_connected_ideal(g, t)
+            if not ideal.is_zero:
+                assert_matches_reference(ideal)
 
 
 # -- Betti tables ------------------------------------------------------------------
@@ -131,12 +165,13 @@ def test_betti_cap_env_override(monkeypatch):
 
 
 def test_betti_table_memory_checked_before_allocation(monkeypatch):
-    # 2^13 entries of about 40 bytes need 320 KiB; claim 256 KiB of memory
+    # 2^13 subsets of 113 bytes (covered and Euler tables 40 each, via 1,
+    # half a colon table 20, fold slices 12) need 904 KiB; claim 896 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 256 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 896 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
         betti_table_ideal(ideal, GF2, max_vars=13)
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 512 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1 << 20)
     assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
     assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
@@ -199,6 +234,17 @@ def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
                   lambda cards, *rest: [0] * (len(cards) - 1) + [1])
         with pytest.raises(HomologyAuditError, match="unexpected top homology"):
             betti_table_ideal(ideal, GF2)
+
+
+def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):
+    # every link reported a cone: each non-cone W would copy the homology of
+    # W minus its lowest vertex; a generator W = {1, 2, 3} has Euler
+    # characteristic -1, but {2, 3} has no homology
+    monkeypatch.setattr(tconnect.homology, "_colon_covered",
+                        lambda ideal, b: [-1] * (1 << ideal.n - 1))
+    with pytest.raises(HomologyAuditError, match="derived dimensions"):
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert private_audit["failures"] == 1
 
 
 # -- derived invariants ----------------------------------------------------------

@@ -417,12 +417,3 @@ def test_bight_simplicial_peeling_bound():
                     assert b >= len(neighborhood(g, c)) + extra + rest_bight
     assert checked > 20
 
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_json_round_trip():
-    i = ideal(5, [2, 4], [1, 3, 5])
-    data = i.to_json_dict()
-    assert SquareFreeIdeal.make(data["n"], data["gens"]) == i
-    assert i.to_json_dict() == {"n": 5, "gens": [[1, 3, 5], [2, 4]]}

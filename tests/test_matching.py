@@ -4,16 +4,13 @@ import pytest
 
 from tconnect.graphs import connected_subsets, fixture, induced_subgraph, random_chordal
 from tconnect.ideals import t_connected_ideal
-from tconnect.matching import (
-    SearchSpaceError,
-    hypergraph_induced_matching,
-    is_t_induced_matching,
-    nu_t,
-)
+from tconnect.matching import SearchSpaceError, nu_t
 from util import (
     brute_hypergraph_induced_matching,
     brute_is_t_induced_matching,
     brute_nu_t,
+    hypergraph_induced_matching,
+    is_t_induced_matching,
     neighborhood,
     random_graph,
 )

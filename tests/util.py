@@ -1,18 +1,24 @@
 """Independent brute-force oracles, sample generators and graph constructions
 for the tests.
 
-Everything here recomputes results from first principles (exhaustive
-enumeration over subsets), deliberately avoiding the package's own
-algorithms, so the main code paths are checked against a second route.
+The ``brute_*`` functions recompute results from first principles
+(exhaustive enumeration over subsets), deliberately avoiding the
+package's own algorithms, so the main code paths are checked against a
+second route.  ``is_t_induced_matching`` (on ``nu_t``'s conflict rows)
+and ``hypergraph_induced_matching`` (the hypergraph definition of nu_t)
+are the second definitions the tests compare ``nu_t`` against.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable, Sequence
+from math import gcd
 
-from tconnect.bitset import mask_of
-from tconnect.graphs import Graph, graph_from_edges
+from tconnect.bitset import mask_of, vertices_of
+from tconnect.graphs import Graph, graph_from_edges, is_connected_mask
+from tconnect.matching import _conflict_rows
 
 
 def brute_minimal_transversals(gens_vertices, n):
@@ -97,6 +103,75 @@ def brute_nu_t(g: Graph, t):
     return best
 
 
+def is_t_induced_matching(g: Graph, t: int, blocks: Sequence[Iterable[int]]) -> bool:
+    """Check: blocks of size t, connected, pairwise disjoint, no cross edges.
+
+    Uses the conflict rows that ``nu_t`` branches on; a block is valid when
+    its row holds no other block.
+    """
+    masks = []
+    for b in blocks:
+        m = mask_of(b)
+        if m & ~g.vertex_mask:
+            raise ValueError(f"block {vertices_of(m)} out of vertex range 1..{g.n}")
+        masks.append(m)
+    if any(m.bit_count() != t or not is_connected_mask(g, m) for m in masks):
+        return False
+    return all(not row & ~(1 << i) for i, row in enumerate(_conflict_rows(g, masks)))
+
+
+def hypergraph_induced_matching(
+    edges: Sequence[Iterable[int]], n: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Maximum induced matching of a hypergraph, with witness.
+
+    A valid family consists of pairwise-disjoint edges whose union
+    contains no edge outside the family.  Violations cannot be repaired
+    by growing the family, so the search prunes as soon as a foreign
+    edge lands inside the running union.
+    """
+    masks = sorted({mask_of(e) for e in edges}, key=vertices_of)
+    if len(masks) != len(edges):
+        raise ValueError("edges must be distinct")
+    if any(m == 0 for m in masks):
+        raise ValueError("edges must be nonempty")
+    by_size: dict[int, list[int]] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    for s1, group1 in by_size.items():
+        for s2, group2 in by_size.items():
+            if s1 < s2 and any(a & b == a for a in group1 for b in group2):
+                raise ValueError("edges must form an antichain")
+    if not masks:
+        return 0, ()
+    min_size = min(by_size)
+
+    best_val = 0
+    best: tuple[int, ...] = ()
+
+    def extend(start: int, chosen: list[int], chosen_set: set[int], union: int) -> None:
+        nonlocal best_val, best
+        if len(chosen) > best_val:
+            best_val, best = len(chosen), tuple(chosen)
+        if len(chosen) + (n - union.bit_count()) // min_size <= best_val:
+            return
+        for idx in range(start, len(masks)):
+            e = masks[idx]
+            if e & union:
+                continue
+            union2 = union | e
+            if any(f & ~union2 == 0 and f != e and f not in chosen_set for f in masks):
+                continue
+            chosen.append(e)
+            chosen_set.add(e)
+            extend(idx + 1, chosen, chosen_set, union2)
+            chosen_set.discard(e)
+            chosen.pop()
+
+    extend(0, [], set(), 0)
+    return best_val, tuple(vertices_of(m) for m in best)
+
+
 def brute_hypergraph_induced_matching(edges_vertices, n):
     """Exhaustive maximum induced matching of a hypergraph."""
     edges = [frozenset(e) for e in edges_vertices]
@@ -113,6 +188,81 @@ def brute_hypergraph_induced_matching(edges_vertices, n):
             best = r
             break
     return best
+
+
+def brute_rank(rows, p):
+    """Rank of a dense integer matrix over GF(p), or over Q when p is None.
+
+    Forward elimination: over GF(p) on residues, over Q fraction-free on
+    integers (row = a*row - b*pivot), which keeps the rank over Q.
+    """
+    rows = [list(r) if p is None else [x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top, a = rows[rank], rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][col]
+            if b:
+                if p is None:
+                    row = [a * x - b * y for x, y in zip(rows[i], top)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+                else:
+                    f = b * pow(a, p - 2, p)
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def brute_betti_table(gens_vertices, n, p):
+    """Graded Betti numbers of R/I by Hochster's formula, from scratch.
+
+    Every subset W of 1..n is evaluated (no cone skip, no collapse of
+    either kind): its faces are the subsets of W containing no generator,
+    and the reduced homology comes from dense ranks of the boundary maps
+    over GF(p), or over Q when p is None.  Returns {(i, j): beta} with
+    beta_{0,0} = 1.
+    """
+    gens = [frozenset(g) for g in gens_vertices]
+    entries = {(0, 0): 1}
+    for j in range(1, n + 1):
+        for w in combinations(range(1, n + 1), j):
+            faces = [[] for _ in range(j + 1)]
+            for r in range(j + 1):
+                for f in combinations(w, r):
+                    if not any(g <= set(f) for g in gens):
+                        faces[r].append(f)
+            ranks = [0] * (j + 2)
+            for r in range(1, j + 1):
+                if faces[r]:
+                    index = {f: k for k, f in enumerate(faces[r - 1])}
+                    rows = []
+                    for f in faces[r]:
+                        row = [0] * len(faces[r - 1])
+                        for k in range(r):
+                            row[index[f[:k] + f[k + 1:]]] = (-1) ** k
+                        rows.append(row)
+                    ranks[r] = brute_rank(rows, p)
+            for r in range(j + 1):
+                d = len(faces[r]) - ranks[r] - ranks[r + 1]
+                if d:
+                    entries[(j - r, j)] = entries.get((j - r, j), 0) + d
+    return entries
+
+
+def brute_non_cone_count(gens_vertices, n):
+    """Number of nonempty W in which every vertex lies in a generator inside W."""
+    gens = [frozenset(g) for g in gens_vertices]
+    count = 0
+    for j in range(1, n + 1):
+        for w in combinations(range(1, n + 1), j):
+            inside = [g for g in gens if g <= set(w)]
+            count += set(w) == set().union(*inside)
+    return count
 
 
 def random_antichain_ideal(rng: random.Random, n: int, max_gens: int = 5):
