@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also verify the peeling identities at this simplicial vertex")
     p.add_argument("--order", choices=("default", "paper"), default="default",
                    help="ordering of the peeling; 'paper' replays the fig1 worked order")
-    p.add_argument("--no-meta", action="store_true", help="omit timing metadata")
+    p.add_argument("--no-meta", action="store_true", help="omit timing and counter metadata")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="write a seeded random chordal graph")

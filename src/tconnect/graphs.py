@@ -238,20 +238,6 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(old), tuple(adj)), old
 
 
-def is_connected_mask(g: Graph, amask: int) -> bool:
-    if amask == 0:
-        return True
-    start = amask & -amask
-    reached = start
-    while True:
-        grow = reached
-        for v in iter_bits(reached):
-            grow |= g.adj[v - 1] & amask
-        if grow == reached:
-            return reached == amask
-        reached = grow
-
-
 def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
     """All C with |C| = t and G[C] connected, in lexicographic order.
 

@@ -97,6 +97,7 @@ class VerificationReport:
     verdicts: list[Verdict]
     oracle_skipped: bool
     timing_seconds: float
+    oracle_counts: dict | None = None  # evaluated and derived W of the oracle's reduction
 
     @property
     def failures(self) -> list[Verdict]:
@@ -118,6 +119,8 @@ class VerificationReport:
         }
         if include_meta:
             out["meta"] = {"timing_seconds": round(self.timing_seconds, 6)}
+            if self.oracle_counts is not None:
+                out["meta"]["oracle"] = self.oracle_counts
         return out
 
 
@@ -141,8 +144,6 @@ def verify_graph(
     start = time.perf_counter()
     preds = predict(g, t)
     verdicts: list[Verdict] = []
-    oracle_json = None
-    oracle_skipped = False
 
     if preds.zero_ideal:
         verdicts.append(Verdict("zero_ideal", "not-applicable",
@@ -155,7 +156,6 @@ def verify_graph(
     try:
         table = betti_table_ideal(preds.ideal, fld, max_vars=max_vars)
     except ResourceLimitError as exc:
-        oracle_skipped = True
         verdicts.append(Verdict("oracle", "not-applicable", str(exc)))
         return VerificationReport(
             _graph_desc(g, source), t, [fld.label()], preds, None, verdicts, True,
@@ -163,7 +163,6 @@ def verify_graph(
         )
 
     inv = homological_invariants(table, preds.height)
-    oracle_json = inv.to_json_dict()
 
     lower = (t - 1) * preds.nu_t
     verdicts.append(_bound_verdict("reg_lower_bound", inv.reg, lower))
@@ -188,8 +187,8 @@ def verify_graph(
     if cross_fields:
         pairs = {fld.label(): (inv.reg, inv.pd)}
         for extra in cross_fields:
-            xtable = betti_table_ideal(preds.ideal, extra, max_vars=max_vars)
-            xinv = homological_invariants(xtable, preds.height)
+            # the same collapsed complexes, ranked over the other field
+            xinv = homological_invariants(table.over(extra), preds.height)
             pairs[extra.label()] = (xinv.reg, xinv.pd)
             fields.append(extra.label())
         agree = len(set(pairs.values())) == 1
@@ -199,8 +198,9 @@ def verify_graph(
         ))
 
     return VerificationReport(
-        _graph_desc(g, source), t, fields, preds, oracle_json, verdicts, oracle_skipped,
+        _graph_desc(g, source), t, fields, preds, inv.to_json_dict(), verdicts, False,
         time.perf_counter() - start,
+        {"evaluations": table.evaluations, "derived": table.derived},
     )
 
 

@@ -23,38 +23,48 @@ complex of the colon ideal (I : x_v), so the cone test is the one above,
 on the ``covered`` table of (I : x_v) over the subsets avoiding v.  These
 colon tables are built one vertex at a time, and ``via[W]`` records v + 1
 for the first vertex whose link is a cone (0 for none).  W is walked in
-ascending order, so W - v is always done before W; only the W with
-nonzero homology keep their dimensions.  The memory of every table is
-estimated against physical memory before any is allocated.
+ascending order, so W - v is always done before W, and each derived W
+records the evaluated W its homology comes from (none when the chain of
+derivations ends in a cone).  The memory of every table is estimated
+against physical memory before any is allocated.
 
 The remaining W are evaluated: each complex is shrunk by elementary
 collapses (removing free face pairs), which preserves the homotopy type
-and hence every homology dimension, and boundary matrices are ranked.
-Every W in the sum is audited.  For an evaluated W, the alternating
-face-count sum of the original complex must equal the alternating
-homology sum, and no dimension may be negative.  For a derived W, the
-alternating homology sum must equal chi[W], the reduced Euler
-characteristic from the Euler table: the zeta transform (subset sums) of
-the signed face indicator, built once.  A wrong derivation changes the
-Euler characteristic by that of the link, so it fails the audit whenever
-the link's is nonzero.  These audits check the collapses and
-non-negativity, not the ranks: the rank terms cancel in the alternating
-sum.  The ranks are audited once per table instead: beta_{1,j} must equal
-the number of generators of degree j.
+and hence every homology dimension.  None of this depends on the field.
+The scan, the derivations and the collapsed complexes (their faces kept
+in one array per W, of the narrowest machine integer that holds n bits)
+form a ``HochsterReduction``, built once per ideal; only the boundary
+ranks depend on the field.  ``betti_table_ideal`` ranks the reduction
+over one field, and ``BettiTable.over`` ranks the same reduction over
+another, each field on its own.
+
+Every W in the sum is audited over every field.  Its alternating
+homology sum must equal chi[W], the reduced Euler characteristic from
+the Euler table: the zeta transform (subset sums) of the signed face
+indicator, built once.  No dimension may be negative.  For an evaluated
+W this checks its face lists and their collapse.  A wrong derivation
+changes the Euler characteristic by that of the link, so it fails the
+audit whenever the link's is nonzero.  These audits do not check the
+ranks: the rank terms cancel in the alternating sum.  The ranks are
+audited once per table instead: beta_{1,j} must equal the number of
+generators of degree j.
 
 All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
 elimination; GF(p) and Q rows are sparse dicts {lower face index: +-1},
 ranked by sparse modular elimination and by sparse fraction-free integer
 elimination.  The collapse and the boundary rows walk one list of W's
-single-bit masks, built once per evaluated W.
+single-bit masks.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from operator import add, or_
+from typing import NamedTuple
 
 from .bitset import submasks, vertices_of
 from .ideals import SquareFreeIdeal
@@ -197,37 +207,59 @@ def _boundary_rank(upper: list[int], lower: list[int], fld: Field, wbits: list[i
     return rank_mod_p(rows, fld.p)
 
 
+def _single_bits(w: int) -> list[int]:
+    """W's single-bit masks in ascending order."""
+    return [1 << i for i in range(w.bit_length()) if w >> i & 1]
+
+
 def _euler(counts) -> int:
     """Alternating sum of face counts or homology dimensions indexed from degree -1."""
     return sum(x if c % 2 else -x for c, x in enumerate(counts))
 
 
-def _homology_dims(cards: list[list[int]], wmask: int, fld: Field) -> list[int]:
-    """Reduced homology dimensions, indexed from degree -1.
+class _Collapsed(NamedTuple):
+    """One evaluated W: its Euler characteristic and its collapsed faces."""
 
-    Audits every evaluation: the alternating sum of the original face
-    counts must match the alternating sum of the computed dimensions.
+    w: int
+    chi: int  # reduced Euler characteristic of the restriction to W
+    counts: tuple[int, ...]  # collapsed faces of each size 0..|W|
+    faces: array  # the collapsed faces, grouped by size in ascending order
+
+
+def _homology_dims(cx: _Collapsed, fld: Field) -> list[int]:
+    """Reduced homology dimensions over fld, indexed from degree -1.
+
+    Audits every evaluation: the alternating sum of the dimensions must be
+    the Euler characteristic of the complex before its collapse.
     """
-    n_cards = len(cards)
-    f_orig = [len(c) for c in cards]
-    wbits = [1 << i for i in range(wmask.bit_length()) if wmask >> i & 1]
-    work = _collapse(cards, wbits)
-    f = [len(c) for c in work]
-    dims = [0] * n_cards
-    if any(f):
-        ranks = [0] * (n_cards + 1)
+    f = cx.counts
+    dims = list(f)
+    if cx.faces:
+        flat = cx.faces.tolist()
+        work, start = [], 0
+        for c in f:
+            work.append(flat[start:start + c])
+            start += c
+        wbits = _single_bits(cx.w)
+        ranks = [0] * (len(f) + 1)
         ranks[1] = 1 if (f[0] and len(f) > 1 and f[1]) else 0
-        for c in range(2, n_cards):
+        for c in range(2, len(f)):
             ranks[c] = _boundary_rank(work[c], work[c - 1], fld, wbits)
-        for c in range(n_cards):
+        for c in range(len(f)):
             dims[c] = f[c] - ranks[c] - ranks[c + 1]
+    _audit_euler(dims, cx.chi, cx.w, fld, "dimensions")
+    return dims
+
+
+def _audit_euler(dims: list[int], chi: int, w: int, fld: Field, what: str) -> None:
+    """W's dimensions must be non-negative, with the Euler characteristic its faces give."""
     _AUDIT["checks"] += 1
-    if _euler(f_orig) != _euler(dims) or any(d < 0 for d in dims):
+    if _euler(dims) != chi or any(d < 0 for d in dims):
         _AUDIT["failures"] += 1
         raise HomologyAuditError(
-            f"audit failed: faces {f_orig} gave dimensions {dims} over {fld.label()}"
+            f"audit failed: faces of W={vertices_of(w)} give Euler characteristic {chi}, "
+            f"but {what} {dims} over {fld.label()}"
         )
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +270,22 @@ def _homology_dims(cards: list[list[int]], wmask: int, fld: Field) -> list[int]:
 class BettiTable:
     n: int
     field: Field
+    reduction: HochsterReduction = dc_field(compare=False, repr=False)
     entries: dict[tuple[int, int], int] = dc_field(default_factory=dict)
-    evaluations: int = 0  # W whose homology was computed by collapse and ranks
-    derived: int = 0  # W whose homology was taken from W - v (a cone link)
+
+    @property
+    def evaluations(self) -> int:
+        """W collapsed once for the ideal and ranked over each field."""
+        return len(self.reduction.evaluated)
+
+    @property
+    def derived(self) -> int:
+        """W whose homology was taken from W - v (a cone link)."""
+        return len(self.reduction.derived_w)
+
+    def over(self, fld: Field) -> BettiTable:
+        """The table over another field, ranked from the same collapsed complexes."""
+        return self.reduction.betti_table(fld)
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -374,12 +419,51 @@ def _mark_cone_links(via: bytearray, covered: list[int], cov_v: list[int], b: in
                 via[w] = b + 1
 
 
-def betti_table_ideal(
-    ideal: SquareFreeIdeal,
-    fld: Field = GF2,
-    max_vars: int | None = None,
-) -> BettiTable:
-    """Full graded Betti table of R/I via the Hochster sum over subsets."""
+class HochsterReduction:
+    """The field-independent part of the Hochster sum of one ideal.
+
+    Each evaluated W keeps its collapsed complex; each derived W keeps the
+    index in ``evaluated`` of the W its homology comes from (-1 when that
+    is a cone) and its Euler characteristic.  Both are in ascending order
+    of W.  ``betti_table`` ranks the complexes over one field.
+    """
+
+    def __init__(self, ideal: SquareFreeIdeal):
+        self.ideal = ideal
+        self.evaluated: list[_Collapsed] = []
+        self.derived_w = array("q")
+        self.derived_src = array("q")
+        self.derived_chi = array("q")
+
+    def betti_table(self, fld: Field) -> BettiTable:
+        """Rank every evaluated W over fld, audit every W, and sum the table."""
+        table = BettiTable(self.ideal.n, fld, self, {(0, 0): 1})
+        entries = table.entries
+        dims_of = []
+        for cx in self.evaluated:
+            dims = _homology_dims(cx, fld)
+            dims_of.append(dims)
+            _add_homology(entries, cx.w, dims)
+        for w, src, chi in zip(self.derived_w, self.derived_src, self.derived_chi):
+            dims = dims_of[src] if src >= 0 else []
+            _audit_euler(dims, chi, w, fld, "derived dimensions")
+            _add_homology(entries, w, dims)  # the source's homology, counted at |W|
+        _audit_first_syzygies(self.ideal, table)
+        return table
+
+
+def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) -> None:
+    j = w.bit_count()
+    for c, d in enumerate(dims):
+        if d:
+            i = j - c  # homological degree for homology degree c - 1
+            if i < 1:
+                raise HomologyAuditError(f"unexpected top homology for W={vertices_of(w)}")
+            entries[(i, j)] = entries.get((i, j), 0) + d
+
+
+def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
+    """Scan every W once: skip the cones, derive the W with a cone link, collapse the rest."""
     n = ideal.n
     cap = oracle_cap(max_vars)
     if n > cap:
@@ -387,9 +471,9 @@ def betti_table_ideal(
             f"{n} variables exceed the oracle cap of {cap}; "
             f"set {ORACLE_CAP_ENV} to raise it"
         )
-    table = BettiTable(n, fld, {(0, 0): 1})
+    red = HochsterReduction(ideal)
     if ideal.is_zero:
-        return table
+        return red
     if any(g == 0 for g in ideal.gens):
         raise ValueError("the unit ideal has no Betti table")
 
@@ -405,49 +489,44 @@ def betti_table_ideal(
             _mark_cone_links(via, covered, cov_v, b)
         del cov_v  # one colon table alive at a time
 
-    entries = table.entries
-    nonzero: dict[int, list[int]] = {}  # dims of the W with nonzero homology
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
+    source: dict[int, int] = {}  # W -> index of the evaluated W its homology comes from
     for w in range(1, size):
         if covered[w] != w:
             continue  # some vertex of W lies in no generator inside W: a cone
-        j = w.bit_count()
         if via[w]:
             # the link of v is a cone, so the restriction to W is homotopy
             # equivalent to the restriction to W - v, which came first
-            dims = nonzero.get(w ^ (1 << via[w] - 1))
-            _audit_derived(dims, chi[w], w, fld)
-            table.derived += 1
-            if dims is None:
-                continue
+            src = source.get(w ^ (1 << via[w] - 1), -1)
+            red.derived_w.append(w)
+            red.derived_src.append(src)
+            red.derived_chi.append(chi[w])
         else:
-            cards: list[list[int]] = [[] for _ in range(j + 1)]
+            cards: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
             for s in submasks(w):
                 if not covered[s]:
                     cards[s.bit_count()].append(s)
-            dims = _homology_dims(cards, w, fld)
-            table.evaluations += 1
-            if not any(dims):
-                continue
-        nonzero[w] = dims
-        for c, d in enumerate(dims):
-            if d:
-                i = j - c  # homological degree for homology degree c - 1
-                if i < 1:
-                    raise HomologyAuditError(f"unexpected top homology for W={vertices_of(w)}")
-                entries[(i, j)] = entries.get((i, j), 0) + d
-    _audit_first_syzygies(ideal, table)
-    return table
+            work = _collapse(cards, _single_bits(w))
+            src = len(red.evaluated)
+            red.evaluated.append(_Collapsed(
+                w, chi[w], tuple(map(len, work)), array(code, chain.from_iterable(work))
+            ))
+        if src >= 0:
+            source[w] = src
+    return red
 
 
-def _audit_derived(dims: list[int] | None, chi: int, w: int, fld: Field) -> None:
-    """A derived W must have the Euler characteristic its faces give."""
-    _AUDIT["checks"] += 1
-    if _euler(dims or ()) != chi:
-        _AUDIT["failures"] += 1
-        raise HomologyAuditError(
-            f"audit failed: W={vertices_of(w)} derived dimensions {dims} but its faces "
-            f"give Euler characteristic {chi} over {fld.label()}"
-        )
+def betti_table_ideal(
+    ideal: SquareFreeIdeal,
+    fld: Field = GF2,
+    max_vars: int | None = None,
+) -> BettiTable:
+    """Full graded Betti table of R/I via the Hochster sum over subsets.
+
+    ``over`` on the result gives the table over another field from the
+    same reduction.
+    """
+    return _reduce(ideal, max_vars).betti_table(fld)
 
 
 def _audit_first_syzygies(ideal: SquareFreeIdeal, table: BettiTable) -> None:

@@ -9,7 +9,9 @@ import pytest
 
 import tconnect
 from tconnect.cli import main
-from tconnect.graphs import chordality, parse_graph
+from tconnect.graphs import chordality, fixture, parse_graph
+from tconnect.homology import GF2, betti_table_ideal
+from tconnect.ideals import t_connected_ideal
 
 
 def run_json(capsys, argv):
@@ -178,6 +180,17 @@ def test_verify_cross_field_checks_every_other_field(capsys, field, cross):
     assert verdict["status"] == "pass"
     for label in [primary] + cross:
         assert f"'{label}'" in verdict["reason"]
+
+
+def test_verify_meta_reports_the_oracle_reduction(capsys):
+    argv = ["verify", "--fixture", "path", "--param", "6", "--t", "3", "--cross-field"]
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived}
+    assert table.evaluations and table.derived
+    code, data = run_json(capsys, argv + ["--no-meta"])
+    assert code == 0 and "meta" not in data
 
 
 def test_verify_byte_identical(capsys):

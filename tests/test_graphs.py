@@ -14,13 +14,19 @@ from tconnect.graphs import (
     format_graph,
     graph_from_edges,
     induced_subgraph,
-    is_connected_mask,
     neighborhood_mask,
     parse_graph,
     random_chordal,
     simplicial_vertices,
 )
-from util import brute_connected_subsets, disjoint_union, random_graph, relabel, to_networkx
+from util import (
+    brute_connected_subsets,
+    disjoint_union,
+    is_connected_mask,
+    random_graph,
+    relabel,
+    to_networkx,
+)
 
 
 # -- parsing ----------------------------------------------------------------

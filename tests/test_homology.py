@@ -1,11 +1,13 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
 import tconnect.homology
 
 from tconnect.graphs import fixture, induced_subgraph, random_chordal
+from tconnect.harness import verify_graph
 from tconnect.homology import (
     Field,
     GF2,
@@ -55,17 +57,24 @@ def test_field_requires_prime():
 
 
 def assert_matches_reference(ideal):
-    """Equal tables to the brute Hochster sum over every field, and every
-    non-cone W either evaluated or derived.  Returns the derived count."""
+    """Equal tables to the brute Hochster sum over every field, both built
+    over the field and ranked ``over`` it from another field's table, and
+    every non-cone W either evaluated or derived.  Returns the derived count."""
     non_cones = brute_non_cone_count(ideal.gens_vertices(), ideal.n)
-    derived = set()
-    for fld in (GF2, GF3, QQ):
+    fields = (GF2, GF3, QQ)
+    reference = {fld: brute_betti_table(ideal.gens_vertices(), ideal.n, fld.p) for fld in fields}
+    counts = set()
+    for fld in fields:
         table = betti_table_ideal(ideal, fld)
-        assert table.entries == brute_betti_table(ideal.gens_vertices(), ideal.n, fld.p)
+        assert table.field == fld and table.entries == reference[fld]
         assert table.evaluations + table.derived == non_cones
-        derived.add(table.derived)
-    assert len(derived) == 1  # the strong collapse does not depend on the field
-    return derived.pop()
+        counts.add((table.evaluations, table.derived))
+        for other in fields:
+            moved = table.over(other)
+            assert moved.field == other and moved.entries == reference[other]
+            assert (moved.evaluations, moved.derived) == (table.evaluations, table.derived)
+    assert len(counts) == 1  # the reduction does not depend on the field
+    return counts.pop()[1]
 
 
 def test_homology_collapse_agrees_with_direct():
@@ -124,6 +133,9 @@ def test_betti_zero_ideal():
     table = betti_table_ideal(SquareFreeIdeal.zero(5), GF2)
     assert table.entries == {(0, 0): 1}
     assert table.reg() == 0 and table.pd() == 0 and table.depth() == 5
+    over_q = table.over(QQ)
+    assert over_q.field == QQ and over_q.n == 5 and over_q.entries == {(0, 0): 1}
+    assert (over_q.evaluations, over_q.derived) == (0, 0)
 
 
 def test_betti_unit_ideal_rejected():
@@ -229,11 +241,44 @@ def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
     assert private_audit["failures"] == 1
 
     # homology in degree |W| - 1 would land in homological degree 0
+    def top_only(cx, fld):
+        return [0] * cx.w.bit_count() + [1]
+
     with monkeypatch.context() as m:
-        m.setattr(tconnect.homology, "_homology_dims",
-                  lambda cards, *rest: [0] * (len(cards) - 1) + [1])
+        m.setattr(tconnect.homology, "_homology_dims", top_only)
         with pytest.raises(HomologyAuditError, match="unexpected top homology"):
             betti_table_ideal(ideal, GF2)
+
+
+def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audit):
+    # the GF(2) table is right; the GF(3) ranks of the shared complexes are not
+    rank_mod_p = tconnect.homology.rank_mod_p
+    monkeypatch.setattr(tconnect.homology, "rank_mod_p",
+                        lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
+    with pytest.raises(HomologyAuditError, match="beta_1"):
+        verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3,))
+    assert private_audit["failures"] == 1
+
+
+def test_cross_field_verify_collapses_once_and_ranks_per_field(monkeypatch):
+    evaluations = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2).evaluations
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(tconnect.homology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(tconnect.homology, name, wrapper)
+
+    for name in ("_collapse", "rank_gf2", "rank_mod_p", "rank_rationals"):
+        counted(name)
+    report = verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3, QQ))
+    assert {v.statement: v.status for v in report.verdicts}["field_independence"] == "pass"
+    assert evaluations and calls["_collapse"] == evaluations
+    assert calls["rank_gf2"] and calls["rank_mod_p"] and calls["rank_rationals"]
 
 
 def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):

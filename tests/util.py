@@ -16,8 +16,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 from math import gcd
 
-from tconnect.bitset import mask_of, vertices_of
-from tconnect.graphs import Graph, graph_from_edges, is_connected_mask
+from tconnect.bitset import iter_bits, mask_of, vertices_of
+from tconnect.graphs import Graph, graph_from_edges
 from tconnect.matching import _conflict_rows
 
 
@@ -101,6 +101,21 @@ def brute_nu_t(g: Graph, t):
                 best = r
                 break
     return best
+
+
+def is_connected_mask(g: Graph, amask: int) -> bool:
+    """Whether the vertices of ``amask`` induce a connected subgraph (true when empty)."""
+    if amask == 0:
+        return True
+    start = amask & -amask
+    reached = start
+    while True:
+        grow = reached
+        for v in iter_bits(reached):
+            grow |= g.adj[v - 1] & amask
+        if grow == reached:
+            return reached == amask
+        reached = grow
 
 
 def is_t_induced_matching(g: Graph, t: int, blocks: Sequence[Iterable[int]]) -> bool:
