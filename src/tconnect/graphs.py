@@ -57,15 +57,6 @@ class Graph:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self.adj[v - 1]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return vertices_of(self.neighbors_mask(v))
-
-    def degree(self, v: int) -> int:
-        return self.neighbors_mask(v).bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbors_mask(u) & bit(v))
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for v in range(1, self.n + 1):

@@ -97,7 +97,7 @@ class VerificationReport:
     verdicts: list[Verdict]
     oracle_skipped: bool
     timing_seconds: float
-    oracle_counts: dict | None = None  # evaluated and derived W of the oracle's reduction
+    oracle_counts: dict | None = None  # evaluated, derived and joined W of the oracle's reduction
 
     @property
     def failures(self) -> list[Verdict]:
@@ -200,7 +200,7 @@ def verify_graph(
     return VerificationReport(
         _graph_desc(g, source), t, fields, preds, inv.to_json_dict(), verdicts, False,
         time.perf_counter() - start,
-        {"evaluations": table.evaluations, "derived": table.derived},
+        {"evaluations": table.evaluations, "derived": table.derived, "joined": table.joined},
     )
 
 

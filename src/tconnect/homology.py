@@ -24,30 +24,47 @@ on the ``covered`` table of (I : x_v) over the subsets avoiding v.  These
 colon tables are built one vertex at a time, and ``via[W]`` records v + 1
 for the first vertex whose link is a cone (0 for none).  W is walked in
 ascending order, so W - v is always done before W, and each derived W
-records the evaluated W its homology comes from (none when the chain of
-derivations ends in a cone).  The memory of every table is estimated
-against physical memory before any is allocated.
+records the evaluated or joined W its homology comes from (none when the
+chain of derivations ends in a cone).  The memory of every table is
+estimated against physical memory before any is allocated.
+
+A non-cone W with no cone link is joined when the generators inside it
+fall into two or more components (two generators meet when they share a
+vertex).  A subset of W is then a face exactly when its part in each
+component is one, so the restriction to W is the join of the
+restrictions to the components; each component is a non-cone below W,
+which the walk has already handled.  Over a field the reduced homology
+of a join is the convolution H_{k+1}(A * B) = sum over i + j = k of
+H_i(A) (x) H_j(B) (Milnor 1956; Bjorner, "Topological methods", 1995):
+with dimensions indexed from degree -1, the parts multiply like
+polynomials.  A joined W records its components' sources and no faces;
+over each field its dimensions are the convolution of its components'
+dimensions over that same field, with no collapse and no rank.  The
+reduced Euler characteristic of a join is minus the product of its
+parts', so the Euler audit below checks the convolution: a product
+shifted by one degree fails it whenever that characteristic is nonzero.
 
 The remaining W are evaluated: each complex is shrunk by elementary
 collapses (removing free face pairs), which preserves the homotopy type
 and hence every homology dimension.  None of this depends on the field.
-The scan, the derivations and the collapsed complexes (their faces kept
-in one array per W, of the narrowest machine integer that holds n bits)
-form a ``HochsterReduction``, built once per ideal; only the boundary
-ranks depend on the field.  ``betti_table_ideal`` ranks the reduction
-over one field, and ``BettiTable.over`` ranks the same reduction over
-another, each field on its own.
+The scan, the derivations, the joins and the collapsed complexes (their
+faces kept in one array per W, of the narrowest machine integer that
+holds n bits, each size in ascending order) form a
+``HochsterReduction``, built once per ideal; only the boundary ranks and
+the convolutions depend on the field.  ``betti_table_ideal`` ranks the
+reduction over one field, and ``BettiTable.over`` ranks the same
+reduction over another, each field on its own.
 
 Every W in the sum is audited over every field.  Its alternating
 homology sum must equal chi[W], the reduced Euler characteristic from
 the Euler table: the zeta transform (subset sums) of the signed face
 indicator, built once.  No dimension may be negative.  For an evaluated
-W this checks its face lists and their collapse.  A wrong derivation
-changes the Euler characteristic by that of the link, so it fails the
-audit whenever the link's is nonzero.  These audits do not check the
-ranks: the rank terms cancel in the alternating sum.  The ranks are
-audited once per table instead: beta_{1,j} must equal the number of
-generators of degree j.
+W this checks its face lists and their collapse; for a joined W, the
+convolution of its components.  A wrong derivation changes the Euler
+characteristic by that of the link, so it fails the audit whenever the
+link's is nonzero.  These audits do not check the ranks: the rank terms
+cancel in the alternating sum.  The ranks are audited once per table
+instead: beta_{1,j} must equal the number of generators of degree j.
 
 All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
 elimination; GF(p) and Q rows are sparse dicts {lower face index: +-1},
@@ -62,7 +79,8 @@ import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from functools import reduce
+from itertools import chain, islice
 from operator import add, or_
 from typing import NamedTuple
 
@@ -134,7 +152,10 @@ QQ = Field(None)
 
 
 def _collapse(cards: list[list[int]], wbits: list[int]) -> list[list[int]]:
-    """Remove free face pairs until none remain (homotopy-preserving)."""
+    """Remove free face pairs until none remain (homotopy-preserving).
+
+    Returns the faces left, by size, each size in ascending order.
+    """
     alive = set()
     for fs in cards:
         alive.update(fs)
@@ -168,7 +189,7 @@ def _collapse(cards: list[list[int]], wbits: list[int]) -> list[list[int]]:
                         if cof[sub] == 1:
                             queue.append(sub)
     out: list[list[int]] = [[] for _ in range(len(cards))]
-    for f in alive:
+    for f in sorted(alive):  # ascending faces keep the sparse eliminations' fill-in low
         out[f.bit_count()].append(f)
     return out
 
@@ -210,6 +231,29 @@ def _boundary_rank(upper: list[int], lower: list[int], fld: Field, wbits: list[i
 def _single_bits(w: int) -> list[int]:
     """W's single-bit masks in ascending order."""
     return [1 << i for i in range(w.bit_length()) if w >> i & 1]
+
+
+def _join(a: list[int], b: list[int]) -> list[int]:
+    """Reduced homology dimensions of a join from its parts', all indexed from degree -1."""
+    out = [0] * (len(a) + len(b) - 1)
+    for c, x in enumerate(a):
+        if x:
+            for d, y in enumerate(b):
+                out[c + d] += x * y
+    return out
+
+
+def _components(w: int, gens: tuple[int, ...]) -> list[int]:
+    """The vertex sets of the components of the generators inside W.
+
+    Two generators are joined when they share a vertex.
+    """
+    comps: list[int] = []
+    for g in gens:
+        if not g & ~w:
+            rest = [c for c in comps if not c & g]
+            comps = rest + [reduce(or_, (c for c in comps if c & g), g)]
+    return comps
 
 
 def _euler(counts) -> int:
@@ -282,6 +326,11 @@ class BettiTable:
     def derived(self) -> int:
         """W whose homology was taken from W - v (a cone link)."""
         return len(self.reduction.derived_w)
+
+    @property
+    def joined(self) -> int:
+        """W whose homology was taken from their components (a join)."""
+        return len(self.reduction.joined_w)
 
     def over(self, fld: Field) -> BettiTable:
         """The table over another field, ranked from the same collapsed complexes."""
@@ -422,30 +471,44 @@ def _mark_cone_links(via: bytearray, covered: list[int], cov_v: list[int], b: in
 class HochsterReduction:
     """The field-independent part of the Hochster sum of one ideal.
 
-    Each evaluated W keeps its collapsed complex; each derived W keeps the
-    index in ``evaluated`` of the W its homology comes from (-1 when that
-    is a cone) and its Euler characteristic.  Both are in ascending order
-    of W.  ``betti_table`` ranks the complexes over one field.
+    A source is an evaluated or a joined W, the one a W takes its homology
+    from; 0 stands for a cone, which has none.  Each evaluated W keeps its
+    collapsed complex; each joined W keeps its number of components, their
+    sources (one flat array for all joined W) and its Euler characteristic;
+    each derived W keeps its source and its Euler characteristic.  All are
+    in ascending order of W.  ``betti_table`` ranks the complexes over one
+    field.
     """
 
     def __init__(self, ideal: SquareFreeIdeal):
         self.ideal = ideal
         self.evaluated: list[_Collapsed] = []
+        self.joined_w = array("q")
+        self.joined_k = array("q")
+        self.joined_src = array("q")
+        self.joined_chi = array("q")
         self.derived_w = array("q")
         self.derived_src = array("q")
         self.derived_chi = array("q")
 
     def betti_table(self, fld: Field) -> BettiTable:
-        """Rank every evaluated W over fld, audit every W, and sum the table."""
+        """Rank every evaluated W over fld, join and audit every W, and sum the table."""
         table = BettiTable(self.ideal.n, fld, self, {(0, 0): 1})
         entries = table.entries
-        dims_of = []
+        dims_of = {0: []}  # source W -> its dimensions over fld
         for cx in self.evaluated:
             dims = _homology_dims(cx, fld)
-            dims_of.append(dims)
+            dims_of[cx.w] = dims
             _add_homology(entries, cx.w, dims)
+        parts = iter(self.joined_src)
+        for w, k, chi in zip(self.joined_w, self.joined_k, self.joined_chi):
+            # every component is below W, so its source came first
+            dims = reduce(_join, map(dims_of.__getitem__, islice(parts, k)))
+            _audit_euler(dims, chi, w, fld, "joined dimensions")
+            dims_of[w] = dims
+            _add_homology(entries, w, dims)
         for w, src, chi in zip(self.derived_w, self.derived_src, self.derived_chi):
-            dims = dims_of[src] if src >= 0 else []
+            dims = dims_of[src]
             _audit_euler(dims, chi, w, fld, "derived dimensions")
             _add_homology(entries, w, dims)  # the source's homology, counted at |W|
         _audit_first_syzygies(self.ideal, table)
@@ -463,7 +526,7 @@ def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) 
 
 
 def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
-    """Scan every W once: skip the cones, derive the W with a cone link, collapse the rest."""
+    """Scan every W once: skip cones, derive W with a cone link, join split W, collapse the rest."""
     n = ideal.n
     cap = oracle_cap(max_vars)
     if n > cap:
@@ -490,29 +553,38 @@ def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
         del cov_v  # one colon table alive at a time
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
-    source: dict[int, int] = {}  # W -> index of the evaluated W its homology comes from
+    source: dict[int, int] = {}  # W -> its source, when it has one
     for w in range(1, size):
         if covered[w] != w:
             continue  # some vertex of W lies in no generator inside W: a cone
         if via[w]:
             # the link of v is a cone, so the restriction to W is homotopy
             # equivalent to the restriction to W - v, which came first
-            src = source.get(w ^ (1 << via[w] - 1), -1)
+            src = source.get(w ^ (1 << via[w] - 1), 0)
             red.derived_w.append(w)
             red.derived_src.append(src)
             red.derived_chi.append(chi[w])
+            if src:
+                source[w] = src
+            continue
+        parts = _components(w, ideal.gens)
+        if len(parts) > 1:
+            # the restriction to W is the join of the restrictions to its
+            # components, each a non-cone below W
+            red.joined_w.append(w)
+            red.joined_k.append(len(parts))
+            red.joined_src.extend(source.get(p, 0) for p in parts)
+            red.joined_chi.append(chi[w])
         else:
             cards: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
             for s in submasks(w):
                 if not covered[s]:
                     cards[s.bit_count()].append(s)
             work = _collapse(cards, _single_bits(w))
-            src = len(red.evaluated)
             red.evaluated.append(_Collapsed(
                 w, chi[w], tuple(map(len, work)), array(code, chain.from_iterable(work))
             ))
-        if src >= 0:
-            source[w] = src
+        source[w] = w
     return red
 
 

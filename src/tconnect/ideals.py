@@ -64,9 +64,6 @@ class SquareFreeIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def gens_vertices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(vertices_of(m) for m in self.gens)
-
     def _check_ambient(self, other: "SquareFreeIdeal") -> None:
         if self.n != other.n:
             raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")

@@ -183,12 +183,13 @@ def test_verify_cross_field_checks_every_other_field(capsys, field, cross):
 
 
 def test_verify_meta_reports_the_oracle_reduction(capsys):
-    argv = ["verify", "--fixture", "path", "--param", "6", "--t", "3", "--cross-field"]
+    argv = ["verify", "--fixture", "path", "--param", "7", "--t", "3", "--cross-field"]
     code, data = run_json(capsys, argv)
     assert code == 0
-    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
-    assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived}
-    assert table.evaluations and table.derived
+    table = betti_table_ideal(t_connected_ideal(fixture("path", 7), 3), GF2)
+    assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived,
+                                      "joined": table.joined}
+    assert table.evaluations and table.derived and table.joined
     code, data = run_json(capsys, argv + ["--no-meta"])
     assert code == 0 and "meta" not in data
 

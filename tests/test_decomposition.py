@@ -15,7 +15,7 @@ from tconnect.decomposition import (
 )
 from tconnect.graphs import fixture, induced_subgraph, random_chordal, simplicial_vertices
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
-from util import lcm_l_ideal, neighborhood, variables_ideal
+from util import gens_vertices, lcm_l_ideal, neighborhood, neighbors, variables_ideal
 
 FIG1 = fixture("fig1")
 
@@ -73,10 +73,10 @@ def test_ledger_requires_simplicial():
 
 def test_ledger_fig1_first_two_ideals():
     led = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
-    assert led.entries[0].j_ideal.gens_vertices() == (
+    assert gens_vertices(led.entries[0].j_ideal) == (
         (1, 3, 4, 5), (2, 3, 4, 5), (3, 4, 5, 6),
     )
-    assert led.entries[1].j_ideal.gens_vertices() == (
+    assert gens_vertices(led.entries[1].j_ideal) == (
         (1, 3, 5, 6), (2, 3, 5, 6), (3, 5, 6, 7), (3, 5, 6, 8),
     )
     k1 = led.entries[0].k_ideal
@@ -98,12 +98,12 @@ def test_ledger_path4():
     led = ledger(fixture("path", 4), 1, 3)
     entry = led.entries[0]
     assert entry.b == (3,)
-    assert entry.j_ideal.gens_vertices() == ((1, 2, 3),)
-    assert entry.k_ideal.gens_vertices() == ((2, 3, 4),)
-    assert entry.jk_ideal.gens_vertices() == ((1, 2, 3, 4),)
-    assert entry.l_ideal.gens_vertices() == ((3, 4),)
-    assert entry.r_ideals[3].gens_vertices() == ((4,),)
-    assert entry.l_ideal.colon([3]).gens_vertices() == ((4,),)
+    assert gens_vertices(entry.j_ideal) == ((1, 2, 3),)
+    assert gens_vertices(entry.k_ideal) == ((2, 3, 4),)
+    assert gens_vertices(entry.jk_ideal) == ((1, 2, 3, 4),)
+    assert gens_vertices(entry.l_ideal) == ((3, 4),)
+    assert gens_vertices(entry.r_ideals[3]) == ((4,),)
+    assert gens_vertices(entry.l_ideal.colon([3])) == ((4,),)
 
 
 def assert_l_is_lcm_definition(led):
@@ -196,10 +196,10 @@ def test_colon_expansion_via_deleted_graph():
                 sub, old = induced_subgraph(g, keep)
                 sub_ideal = t_connected_ideal(sub, t)
                 lifted = SquareFreeIdeal.make(
-                    g.n, [[old[v - 1] for v in gen] for gen in sub_ideal.gens_vertices()]
+                    g.n, [[old[v - 1] for v in gen] for gen in gens_vertices(sub_ideal)]
                 )
                 m_part = variables_ideal(g.n, set(neighborhood(g, cset)) - {w})
-                n_part = variables_ideal(g.n, set(g.neighbors(w)) - closed_c)
+                n_part = variables_ideal(g.n, set(neighbors(g, w)) - closed_c)
                 assert entry.l_ideal.colon([w]) == m_part.add(n_part).add(lifted)
 
 

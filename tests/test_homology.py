@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 from util import (
     brute_betti_table,
     brute_non_cone_count,
+    gens_vertices,
     hypergraph_induced_matching,
     random_antichain_ideal,
     random_graph,
@@ -56,44 +58,52 @@ def test_field_requires_prime():
 # -- reduced homology ----------------------------------------------------------
 
 
+def reduction_counts(table):
+    return table.evaluations, table.derived, table.joined
+
+
 def assert_matches_reference(ideal):
     """Equal tables to the brute Hochster sum over every field, both built
     over the field and ranked ``over`` it from another field's table, and
-    every non-cone W either evaluated or derived.  Returns the derived count."""
-    non_cones = brute_non_cone_count(ideal.gens_vertices(), ideal.n)
+    every non-cone W evaluated, derived or joined, in the same way over
+    every field.  Returns the derived and joined counts."""
+    non_cones = brute_non_cone_count(gens_vertices(ideal), ideal.n)
     fields = (GF2, GF3, QQ)
-    reference = {fld: brute_betti_table(ideal.gens_vertices(), ideal.n, fld.p) for fld in fields}
+    reference = {fld: brute_betti_table(gens_vertices(ideal), ideal.n, fld.p) for fld in fields}
     counts = set()
     for fld in fields:
         table = betti_table_ideal(ideal, fld)
         assert table.field == fld and table.entries == reference[fld]
-        assert table.evaluations + table.derived == non_cones
-        counts.add((table.evaluations, table.derived))
+        assert sum(reduction_counts(table)) == non_cones
+        counts.add(reduction_counts(table))
         for other in fields:
             moved = table.over(other)
             assert moved.field == other and moved.entries == reference[other]
-            assert (moved.evaluations, moved.derived) == (table.evaluations, table.derived)
+            assert reduction_counts(moved) == reduction_counts(table)
     assert len(counts) == 1  # the reduction does not depend on the field
-    return counts.pop()[1]
+    _, derived, joined = counts.pop()
+    return derived, joined
 
 
 def test_homology_collapse_agrees_with_direct():
     rng = random.Random(23)
-    degree_one = derived = 0
+    degree_one = derived = joined = 0
     for _ in range(40):
         n = rng.randint(1, 7)
         ideal = random_antichain_ideal(rng, n, max_gens=6)
         degree_one += any(g.bit_count() == 1 for g in ideal.gens)
-        derived += assert_matches_reference(ideal)
-    assert degree_one and derived
+        d, j = assert_matches_reference(ideal)
+        derived, joined = derived + d, joined + j
+    assert degree_one and derived and joined
 
 
 def test_betti_tables_match_reference_on_chordal_graphs():
     fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 10))
-    derived = 0
+    derived = joined = 0
     for t in (2, 3, 4, 5):
-        derived += assert_matches_reference(t_connected_ideal(fig1_prefix, t))
-    assert derived
+        d, j = assert_matches_reference(t_connected_ideal(fig1_prefix, t))
+        derived, joined = derived + d, joined + j
+    assert derived and joined
     for seed in range(6):
         g = random_chordal(5 + seed % 4, seed * 7 + 2, 4)
         for t in (2, 3):
@@ -135,7 +145,7 @@ def test_betti_zero_ideal():
     assert table.reg() == 0 and table.pd() == 0 and table.depth() == 5
     over_q = table.over(QQ)
     assert over_q.field == QQ and over_q.n == 5 and over_q.entries == {(0, 0): 1}
-    assert (over_q.evaluations, over_q.derived) == (0, 0)
+    assert reduction_counts(over_q) == (0, 0, 0)
 
 
 def test_betti_unit_ideal_rejected():
@@ -150,7 +160,7 @@ def test_betti_degree_one_counts_generators():
         ideal = random_antichain_ideal(rng, n, max_gens=6)
         table = betti_table_ideal(ideal, GF2)
         degrees = {}
-        for g in ideal.gens_vertices():
+        for g in gens_vertices(ideal):
             degrees[len(g)] = degrees.get(len(g), 0) + 1
         assert {j: b for (i, j), b in table.entries.items() if i == 1} == degrees
 
@@ -292,6 +302,39 @@ def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):
     assert private_audit["failures"] == 1
 
 
+def test_audit_rejects_a_wrong_join(monkeypatch, private_audit):
+    # two disjoint edges: W = {1, 2, 3, 4} restricts to the join of two
+    # 0-spheres, a circle; a product shifted up one degree gives a 2-sphere,
+    # whose Euler characteristic has the other sign
+    ideal = SquareFreeIdeal.make(4, [[1, 2], [3, 4]])
+    assert betti_table_ideal(ideal, GF2).joined == 1
+    join = tconnect.homology._join
+    monkeypatch.setattr(tconnect.homology, "_join", lambda a, b: [0] + join(a, b))
+    for fld in (GF2, GF3, QQ):
+        with pytest.raises(HomologyAuditError, match=re.escape("W=(1, 2, 3, 4)") + ".*joined"):
+            betti_table_ideal(ideal, fld)
+    assert private_audit["failures"] == 3
+
+
+# the 6-vertex real projective plane: H_1 and H_2 are GF(2)^1 over GF(2), 0 over Q
+RP2_FACETS = ((1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6))
+
+
+def test_joined_homology_is_taken_over_the_same_field():
+    # its Stanley-Reisner ideal (the triangles that are not facets) plus a
+    # generator on two new vertices: every W that meets both restricts to a
+    # join, whose homology over GF(2) differs from that over Q
+    non_faces = set(combinations(range(1, 7), 3)) - set(RP2_FACETS)
+    ideal = SquareFreeIdeal.make(8, [*non_faces, (7, 8)])
+    table = betti_table_ideal(ideal, GF2)
+    assert table.joined
+    over_q = table.over(QQ)
+    assert table.entries == brute_betti_table(gens_vertices(ideal), 8, 2)
+    assert over_q.entries == brute_betti_table(gens_vertices(ideal), 8, None)
+    assert table.entries != over_q.entries
+
+
 # -- derived invariants ----------------------------------------------------------
 
 
@@ -346,7 +389,7 @@ def test_reg_membership_under_colon_and_sum():
     for _ in range(30):
         n = rng.randint(2, 6)
         ideal = random_antichain_ideal(rng, n, max_gens=4)
-        variables = sorted({v for g in ideal.gens_vertices() for v in g})
+        variables = sorted({v for g in gens_vertices(ideal) for v in g})
         x = rng.choice(variables)
         colon = ideal.colon([x])
         plus = ideal.add(SquareFreeIdeal.make(n, [[x]]))
@@ -379,7 +422,7 @@ def test_reg_at_least_induced_matching_weight():
     for _ in range(20):
         n = rng.randint(2, 8)
         ideal = random_antichain_ideal(rng, n, max_gens=5)
-        value, witness = hypergraph_induced_matching(ideal.gens_vertices(), n)
+        value, witness = hypergraph_induced_matching(gens_vertices(ideal), n)
         reg = betti_table_ideal(ideal, GF2).reg()
         assert reg >= sum(len(e) - 1 for e in witness)
 

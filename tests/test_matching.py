@@ -9,6 +9,7 @@ from util import (
     brute_hypergraph_induced_matching,
     brute_is_t_induced_matching,
     brute_nu_t,
+    gens_vertices,
     hypergraph_induced_matching,
     is_t_induced_matching,
     neighborhood,
@@ -171,7 +172,7 @@ def test_hypergraph_two_disjoint():
 
 
 def test_hypergraph_fig1_t4():
-    gens = t_connected_ideal(fixture("fig1"), 4).gens_vertices()
+    gens = gens_vertices(t_connected_ideal(fixture("fig1"), 4))
     value, witness = hypergraph_induced_matching(gens, 14)
     assert value == 2
     assert len(witness) == 2

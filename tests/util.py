@@ -7,6 +7,8 @@ package's own algorithms, so the main code paths are checked against a
 second route.  ``is_t_induced_matching`` (on ``nu_t``'s conflict rows)
 and ``hypergraph_induced_matching`` (the hypergraph definition of nu_t)
 are the second definitions the tests compare ``nu_t`` against.
+``neighbors``, ``degree``, ``has_edge`` and ``gens_vertices`` read a
+graph or an ideal in the forms only the tests need.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 from math import gcd
 
-from tconnect.bitset import iter_bits, mask_of, vertices_of
+from tconnect.bitset import bit, iter_bits, mask_of, vertices_of
 from tconnect.graphs import Graph, graph_from_edges
 from tconnect.matching import _conflict_rows
 
@@ -331,10 +333,27 @@ def lcm_l_ideal(n, c, j_ideal, k_ideal):
     )
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    return vertices_of(g.neighbors_mask(v))
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.neighbors_mask(v).bit_count()
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.neighbors_mask(u) & bit(v))
+
+
+def gens_vertices(ideal) -> tuple[tuple[int, ...], ...]:
+    """The generators of a square-free ideal as vertex tuples, in its order."""
+    return tuple(vertices_of(m) for m in ideal.gens)
+
+
 def neighborhood(g: Graph, c, closed=False):
     """Open neighborhood N(C) (or closed N[C]) of a vertex set, sorted."""
     cs = set(c)
-    out = {u for v in cs for u in g.neighbors(v)}
+    out = {u for v in cs for u in neighbors(g, v)}
     return tuple(sorted(out | cs if closed else out - cs))
 
 
@@ -352,5 +371,5 @@ def shift_ideal(ideal, offset, new_n):
     from tconnect.ideals import SquareFreeIdeal
 
     return SquareFreeIdeal.make(
-        new_n, [tuple(v + offset for v in g) for g in ideal.gens_vertices()]
+        new_n, [tuple(v + offset for v in g) for g in gens_vertices(ideal)]
     )
