@@ -129,7 +129,7 @@ def ledger(
             # share no vertex and Q_i(w) holds no singleton, so the union is minimal
             singles = (open_c & ~bit(w)) | (g.adj[w - 1] & ~closed_c)
             r_gens = [bit(v) for v in iter_bits(singles)] + [m for m in base.gens if not m & excl]
-            r_ideals[w] = SquareFreeIdeal(g.n, tuple(sorted(r_gens, key=vertices_of)))
+            r_ideals[w] = SquareFreeIdeal(g.n, tuple(sorted(r_gens)))
         l_ideal = SquareFreeIdeal.make(
             g.n, [r | bit(w) for w, r_ideal in r_ideals.items() for r in r_ideal.gens]
         )

@@ -40,6 +40,7 @@ class Predictions:
     predicted_linear: bool | None
     predicted_cm: bool | None
     ideal: SquareFreeIdeal = dc_field(compare=False, repr=False)
+    cover_counts: dict = dc_field(compare=False, repr=False)  # minimal covers and search nodes
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,6 +75,7 @@ def predict(g: Graph, t: int) -> Predictions:
     return Predictions(
         t, chordal, nu, stats.height, stats.bight, stats.unmixed,
         ideal.is_zero, *pred, ideal,
+        {"minimal": len(stats.covers), "nodes": stats.nodes},
     )
 
 
@@ -118,7 +120,8 @@ class VerificationReport:
             "oracle_skipped": self.oracle_skipped,
         }
         if include_meta:
-            out["meta"] = {"timing_seconds": round(self.timing_seconds, 6)}
+            out["meta"] = {"timing_seconds": round(self.timing_seconds, 6),
+                           "covers": self.predictions.cover_counts}
             if self.oracle_counts is not None:
                 out["meta"]["oracle"] = self.oracle_counts
         return out

@@ -2,8 +2,9 @@
 
 A square-free monomial is identified with its support, stored as a
 bitmask over variables 1..n.  An ideal is its unique minimal generating
-set: an antichain of supports, kept sorted by vertex tuple so that equal
-ideals compare equal structurally.  The zero ideal has no generators.
+set: an antichain of supports, kept in ascending integer order so that
+equal ideals compare equal structurally (the constructor rejects any
+other order).  The zero ideal has no generators.
 
 Minimal primes are the minimal vertex covers (transversals) of the
 generator hypergraph; height/big height/unmixedness derive from them.
@@ -11,20 +12,22 @@ Both the covers and the antichains are computed from per-vertex
 incidence bitsets (``bitset.incidence_rows``), never by comparing a set
 against every kept one:
 
-- a Berge step keeps an extended cover only when each of its old
-  vertices still has a private generator (the ``crit`` test of
-  Murakami and Uno's MMCS), so no cover list is pruned afterwards;
+- the covers come from a depth-first search (Murakami and Uno's MMCS)
+  that grows one cover at a time and extends it by a vertex only when
+  each of its vertices keeps a private generator, so every minimal
+  transversal is reached exactly once and no cover list is kept;
 - a support m contains a kept support iff some kept one avoids every
   vertex outside m: one AND-NOT against the OR of those vertices' rows
   (supports are walked by size and tested against the smaller kept ones);
-- a sum of two ideals merges their antichains, dropping only the
-  generators of one that a generator of the other divides.
+- a sum of two ideals merges their antichains through one incidence
+  index, built over the larger of the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import lt
 from typing import Iterable, Sequence
 
 from .bitset import bit, incidence_rows, iter_bits, mask_of, vertices_of
@@ -38,14 +41,18 @@ def _as_mask(support: int | Iterable[int]) -> int:
 
 
 def minimalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-minimal antichain of the given supports, canonically sorted."""
-    return tuple(sorted(_prune_nonminimal(masks), key=vertices_of))
+    """Inclusion-minimal antichain of the given supports, in ascending order."""
+    return tuple(sorted(_prune_nonminimal(masks)))
 
 
 @dataclass(frozen=True)
 class SquareFreeIdeal:
     n: int
     gens: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not all(map(lt, self.gens, islice(self.gens, 1, None))):
+            raise ValueError("generators must be distinct and in ascending order")
 
     @staticmethod
     def make(n: int, supports: Iterable[int | Iterable[int]]) -> "SquareFreeIdeal":
@@ -71,14 +78,37 @@ class SquareFreeIdeal:
     def add(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         """Sum of two ideals: a merge of two antichains, with no full re-prune.
 
-        A generator of ``other`` is dropped when one of ``self`` divides it;
-        a generator of ``self`` is then dropped when a kept generator of
-        ``other`` divides it, so a generator of both is kept once.
+        One incidence index is built, over the larger operand.  A large
+        generator is dropped when it contains a small generator s: the
+        large generators that contain s are the AND of the rows of s's
+        vertices.  A small generator s is then dropped when it contains a
+        kept large generator, that is when the kept ones meet the
+        complement of the OR of the rows of the vertices outside s.  A
+        generator of both is dropped on the large side only, so it is
+        kept once.
         """
         self._check_ambient(other)
-        theirs = _not_above(self.gens, other.gens)
-        mine = _not_above(theirs, self.gens)
-        return SquareFreeIdeal(self.n, tuple(sorted(mine + theirs, key=vertices_of)))
+        big, small = sorted((self.gens, other.gens), key=len, reverse=True)
+        rows = incidence_rows(big)
+        rows += [0] * (self.n + 1 - len(rows))  # no large generator holds these vertices
+        full = (1 << len(big)) - 1
+        above = 0  # the large generators that contain a small one
+        for s in small:
+            inside = full
+            for v in iter_bits(s):
+                inside &= rows[v]
+            above |= inside
+        kept = full & ~above
+        vertex_rows = [(bit(v), r) for v, r in enumerate(rows) if r]
+        out = [g for j, g in enumerate(big) if not above >> j & 1]
+        for s in small:
+            outside = 0
+            for b, r in vertex_rows:
+                if not s & b:
+                    outside |= r
+            if not kept & ~outside:
+                out.append(s)
+        return SquareFreeIdeal(self.n, tuple(sorted(out)))
 
     def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check_ambient(other)
@@ -96,36 +126,33 @@ class SquareFreeIdeal:
         for g in self.gens:
             if g & m:
                 raise ValueError("scale requires a support disjoint from every generator")
-        return SquareFreeIdeal(self.n, tuple(sorted((g | m for g in self.gens), key=vertices_of)))
+        # adding the same disjoint bits to every mask keeps their order
+        return SquareFreeIdeal(self.n, tuple(g | m for g in self.gens))
 
     # -- minimal primes / cover statistics ---------------------------------
 
     def minimal_primes(self) -> tuple[tuple[int, ...], ...]:
-        """All minimal transversals of the generator hypergraph, sorted.
+        """All minimal transversals of the generator hypergraph, as sorted
+        vertex tuples (see ``minimal_transversals``).
 
-        Berge expansion: fold the generators in one at a time.  A cover
-        that meets the next generator g is kept; one that misses it is
-        extended by each vertex v of g, and the extension is kept only
-        when every old vertex has a private generator (one that meets the
-        extension in that vertex alone).  Every vertex of a kept cover
-        thus has a private generator, so a cover that meets every
-        generator is minimal: the last step leaves exactly the minimal
-        transversals, with no pruning pass.
+        The zero ideal has none here by convention; the unit ideal has
+        none because no cover meets its empty generator.
         """
         if self.is_zero:
             return ()
-        covers = minimal_transversals(self.gens)
-        return tuple(sorted((vertices_of(c) for c in covers)))
+        covers, _ = minimal_transversals(self.gens)
+        return tuple(sorted(vertices_of(c) for c in covers))
 
     def cover_stats(self) -> "CoverStats":
         if self.is_zero:
             return CoverStats(0, 0, True, ())
-        covers = self.minimal_primes()
+        covers, nodes = minimal_transversals(self.gens)
         if not covers:
             raise ValueError("the unit ideal has no cover statistics")
-        sizes = [len(c) for c in covers]
+        sizes = [c.bit_count() for c in covers]
         height, bight = min(sizes), max(sizes)
-        return CoverStats(height, bight, height == bight, covers)
+        return CoverStats(height, bight, height == bight,
+                          tuple(sorted(vertices_of(c) for c in covers)), nodes)
 
 
 @dataclass(frozen=True)
@@ -134,38 +161,46 @@ class CoverStats:
     bight: int
     unmixed: bool
     covers: tuple[tuple[int, ...], ...]
+    nodes: int = field(default=0, compare=False)  # search nodes of minimal_transversals
 
 
-def minimal_transversals(gens: Sequence[int]) -> list[int]:
-    """Minimal transversals of the hypergraph ``gens`` (see ``minimal_primes``).
+def minimal_transversals(gens: Sequence[int]) -> tuple[list[int], int]:
+    """The minimal transversals of the hypergraph ``gens`` as masks, and the
+    number of search nodes visited.
 
-    The private-generator test reads incidence rows over all generators,
-    not only the ones folded in so far.  A cover it accepts early keeps
-    its private generators to the end, and every minimal cover of a
-    prefix is still reached, because its private generators lie in that
-    prefix.
+    Depth-first MMCS (Murakami and Uno, Discrete Appl. Math. 2014).  A
+    node holds a cover S, for each u in S its ``crit`` bitset (the
+    generators that meet S in u alone), the candidate vertices and the
+    generators S does not meet yet.  It branches on the lowest uncovered
+    generator F: F's candidate vertices leave the candidates, and the
+    i-th of them is tried with the earlier ones put back, so no cover is
+    reached twice.  S + v is kept only when every u in S keeps a crit
+    generator, so every node's S is minimal for what it covers, and a
+    node that meets every generator is a minimal transversal.  The
+    search runs on an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  A generator 0 (the unit ideal) has no
+    vertex to branch on, so it yields no cover.
     """
     rows = incidence_rows(gens)
-    covers = {0}
-    for g in gens:
-        nxt = set()
-        for c in covers:
-            if c & g:
-                nxt.add(c)
-                continue
-            old = [rows[u] for u in iter_bits(c)]
-            once = multi = 0  # generators meeting c at least once / at least twice
-            for r in old:
-                multi |= once & r
-                once |= r
-            for v in iter_bits(g):
-                r = rows[v]
-                exact = (once | r) & ~(multi | once & r)  # meet c + v exactly once
-                # v passes: g meets c + v in v alone
-                if all(r_u & exact for r_u in old):
-                    nxt.add(c | bit(v))
-        covers = nxt
-    return list(covers)
+    covers = []
+    nodes = 0
+    every = (1 << (len(rows) - 1)) - 1  # vertices 1 .. the largest in a generator
+    stack = [(0, [], (1 << len(gens)) - 1, every)]
+    while stack:
+        cover, crits, uncovered, cand = stack.pop()
+        nodes += 1
+        if not uncovered:
+            covers.append(cover)
+            continue
+        branch = cand & gens[(uncovered & -uncovered).bit_length() - 1]
+        rest = cand & ~branch
+        for v in iter_bits(branch):
+            r = rows[v]
+            kept = [c & ~r for c in crits]
+            if all(kept):
+                kept.append(uncovered & r)
+                stack.append((cover | bit(v), kept, uncovered & ~r, rest | branch & (bit(v) - 1)))
+    return covers, nodes
 
 
 def _not_above(kept: Sequence[int], masks: Iterable[int]) -> list[int]:
@@ -173,6 +208,9 @@ def _not_above(kept: Sequence[int], masks: Iterable[int]) -> list[int]:
 
     A support lies inside m iff it has no vertex outside m, that is iff its
     bit is clear in the OR of the incidence rows of the vertices outside m.
+    The rows are built once over ``kept``, so this pays off when many
+    masks are tested; ``add`` reads the same test off the index it builds
+    over its larger operand.
     """
     vertex_rows = [(bit(v), r) for v, r in enumerate(incidence_rows(kept)) if r]
     full = (1 << len(kept)) - 1
@@ -211,7 +249,7 @@ def t_connected_ideal(g: Graph, t: int) -> SquareFreeIdeal:
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    return SquareFreeIdeal(g.n, tuple(mask_of(c) for c in connected_subsets(g, t)))
+    return SquareFreeIdeal(g.n, tuple(sorted(mask_of(c) for c in connected_subsets(g, t))))
 
 
 def t_clique_ideal(g: Graph, t: int) -> SquareFreeIdeal:
@@ -223,4 +261,4 @@ def t_clique_ideal(g: Graph, t: int) -> SquareFreeIdeal:
         m = mask_of(c)
         if all(m & ~g.adj[v - 1] & ~bit(v) == 0 for v in c):
             gens.append(m)
-    return SquareFreeIdeal(g.n, tuple(gens))
+    return SquareFreeIdeal(g.n, tuple(sorted(gens)))

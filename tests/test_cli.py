@@ -194,6 +194,18 @@ def test_verify_meta_reports_the_oracle_reduction(capsys):
     assert code == 0 and "meta" not in data
 
 
+def test_verify_meta_reports_the_cover_search(monkeypatch, capsys):
+    monkeypatch.delenv("SR_MAX_ORACLE_N", raising=False)
+    stats = t_connected_ideal(fixture("fig1"), 4).cover_stats()
+    argv = ["verify", "--fixture", "fig1", "--t", "4"]  # n = 14: over the oracle cap
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["oracle_skipped"] and "oracle" not in data["meta"]
+    assert data["meta"]["covers"] == {"minimal": len(stats.covers), "nodes": stats.nodes}
+    assert stats.nodes > len(stats.covers) > 0
+    code, data = run_json(capsys, ["verify", "--fixture", "path", "--param", "2", "--t", "3"])
+    assert code == 0 and data["meta"]["covers"] == {"minimal": 0, "nodes": 0}  # zero ideal
+
+
 def test_verify_byte_identical(capsys):
     argv = ["verify", "--fixture", "path", "--param", "5", "--t", "3", "--no-meta"]
     main(argv)

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from tconnect.bitset import bit, vertices_of
-from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger
+from tconnect.bitset import bit
+from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger, verify_identities
 from tconnect.graphs import (
     connected_subsets,
     fixture,
@@ -15,6 +15,7 @@ from tconnect.graphs import (
 from tconnect.harness import predict
 from tconnect.ideals import (
     SquareFreeIdeal,
+    minimal_transversals,
     minimalize_masks,
     t_clique_ideal,
     t_connected_ideal,
@@ -88,7 +89,7 @@ def test_minimalize_masks_against_any_over_kept():
         n = rng.randint(1, 20)
         families.append(random_masks(rng, n, rng.choice([1, 4, 20, 60, 300])))
     for masks in families:
-        want = tuple(sorted(brute_minimalize(masks), key=vertices_of))
+        want = tuple(sorted(brute_minimalize(masks)))
         assert minimalize_masks(masks) == want
 
 
@@ -101,6 +102,30 @@ def test_add_merges_antichains():
         b = SquareFreeIdeal.make(n, random_masks(rng, n, rng.randint(0, 12)) + shared)
         for x, y in ((a, b), (b, a), (a, a), (a, SquareFreeIdeal.zero(n))):
             assert x.add(y) == SquareFreeIdeal.make(n, x.gens + y.gens)
+
+
+def test_constructor_requires_ascending_distinct_gens():
+    # out of order or repeated, two equal ideals would compare unequal
+    with pytest.raises(ValueError, match="ascending"):
+        SquareFreeIdeal(4, (6, 3))
+    with pytest.raises(ValueError, match="ascending"):
+        SquareFreeIdeal(4, (3, 3, 6))
+    assert SquareFreeIdeal(4, (3, 6)).gens == (3, 6)
+    assert SquareFreeIdeal(4, (0,)).gens == (0,)
+
+
+def test_ledger_ideals_construct_in_ascending_order():
+    # every ideal of the peeling, and every sum, product and colon that
+    # its identities build, passes the constructor's order check
+    g20 = random_chordal(20, 38, 4)
+    for g, x, t in ((fixture("fig1"), 5, 4), (g20, simplicial_vertices(g20)[0], 5)):
+        led = ledger(g, x, t)
+        assert verify_identities(led).all_passed
+        built = [led.base_ideal]
+        for e in led.entries:
+            built += [e.j_ideal, e.k_ideal, e.jk_ideal, e.l_ideal, *e.r_ideals.values()]
+        for i in built:
+            assert list(i.gens) == sorted(set(i.gens))
 
 
 def test_make_range_check():
@@ -217,6 +242,7 @@ def test_minimal_primes_edge():
 
 def test_minimal_primes_zero_convention():
     assert SquareFreeIdeal.zero(3).minimal_primes() == ()
+    assert minimal_transversals(()) == ([0], 1)  # the empty set meets every generator
     stats = SquareFreeIdeal.zero(3).cover_stats()
     assert (stats.height, stats.bight, stats.unmixed) == (0, 0, True)
 
@@ -225,24 +251,34 @@ def test_cover_stats_unit_ideal_rejected():
     unit = ideal(3, [1, 2]).colon([1, 2])
     assert unit.gens == (0,)
     assert unit.minimal_primes() == ()  # no prime contains the whole ring
+    assert minimal_transversals(unit.gens) == ([], 1)
     with pytest.raises(ValueError, match="unit ideal"):
         unit.cover_stats()
 
 
 def test_minimal_primes_against_brute_force():
     rng = random.Random(9)
+    ideals = [
+        ideal(5, [1, 2], [1, 3], [1, 4, 5], [1, 2, 5]),  # vertex 1 lies in every generator
+        ideal(8, [1, 2], [2, 3], [3, 4], [5, 6, 7], [6, 8], [5, 8]),  # two disjoint parts
+        ideal(3, []),  # the unit ideal: no cover
+    ]
     for trial in range(66):
         if trial < 50:
-            i = random_antichain_ideal(rng, rng.randint(1, 8), max_gens=6)
+            ideals.append(random_antichain_ideal(rng, rng.randint(1, 8), max_gens=6))
         elif trial < 60:
-            i = random_antichain_ideal(rng, 10, max_gens=6)
+            ideals.append(random_antichain_ideal(rng, 10, max_gens=6))
         else:  # more generators of a few vertices each, for more covers
             n = 12 + trial % 3
-            i = SquareFreeIdeal.make(n, [rng.sample(range(1, n + 1), rng.randint(2, 4))
-                                         for _ in range(rng.randint(6, 14))])
+            ideals.append(SquareFreeIdeal.make(n, [rng.sample(range(1, n + 1), rng.randint(2, 4))
+                                                   for _ in range(rng.randint(6, 14))]))
+    for i in ideals:
         n = i.n
         got = list(i.minimal_primes())
         assert got == brute_minimal_transversals(gens_vertices(i), n)
+        masks, nodes = minimal_transversals(i.gens)
+        assert len(set(masks)) == len(masks) == len(got)  # each cover is reached once
+        assert nodes >= len(masks)
         # direct minimal-transversal property
         gens = [set(g) for g in gens_vertices(i)]
         for cover in got:
@@ -250,6 +286,13 @@ def test_minimal_primes_against_brute_force():
             assert all(cs & g for g in gens)
             for v in cover:
                 assert not all((cs - {v}) & g for g in gens)
+
+
+def test_minimal_transversals_of_disjoint_parts_are_products():
+    left, right = ideal(8, [1, 2], [2, 3], [3, 4]), ideal(8, [5, 6, 7], [6, 8], [5, 8])
+    covers, _ = minimal_transversals(left.add(right).gens)
+    (ca, _), (cb, _) = minimal_transversals(left.gens), minimal_transversals(right.gens)
+    assert sorted(covers) == sorted(a | b for a in ca for b in cb)
 
 
 def test_cover_stats_fig1_t4():
@@ -288,6 +331,27 @@ def test_cover_stats_slow_chordal20_t5():
     assert len(preds.ideal.gens) == 1691
     assert len(preds.ideal.cover_stats().covers) == 1044
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("k, pins", [
+    # (nu_t, height, bight, unmixed), generators, minimal covers
+    (13, ((2, 4, 14, False), 751, 2450)),
+    (41, ((2, 5, 11, False), 261, 2945)),
+    (47, ((1, 5, 14, False), 1232, 463)),
+])
+def test_cover_stats_left_out_chordal20_t5(k, pins):
+    # The other graphs left out of the benchmark for being slow.  The pins
+    # were recorded with the breadth-wise Berge expansion, under which
+    # predict took 0.13-0.19 s; the depth-first search takes 0.05-0.08 s
+    # (2 cores, Python 3.11).
+    g = random_chordal(20, k, 4)
+    start = time.perf_counter()
+    preds = predict(g, 5)
+    elapsed = time.perf_counter() - start
+    stats = preds.ideal.cover_stats()
+    assert ((preds.nu_t, preds.height, preds.bight, preds.unmixed),
+            len(preds.ideal.gens), len(stats.covers)) == pins
+    assert elapsed < 1.0
 
 
 def test_cover_stats_c5_t3():
