@@ -42,12 +42,21 @@ def incidence_rows(masks: Sequence[int]) -> list[int]:
     """Per-vertex incidence bitsets: ``rows[v]`` has bit j when ``masks[j]`` contains v.
 
     Indexed 0..n, n the largest vertex of any mask; row 0 is always 0.
+
+    One transpose of the k x n bit matrix, with no per-bit loop.  Each
+    mask is written as nb = ceil(n / 8) little-endian bytes, and the k
+    records are joined into one integer, mask j at bits j*w .. j*w + w - 1
+    for the stride w = 8*nb.  That integer, printed as a k*w-digit binary
+    string, holds vertex v of mask j at index (k - 1 - j)*w + w - v, so
+    the strided slice ``s[w - v::w]`` reads vertex v's bit of masks
+    k-1, ..., 0: the binary digits of row v.
     """
     top = 0
     for m in masks:
         top |= m
-    rows = [0] * (top.bit_length() + 1)
-    for j, m in enumerate(masks):
-        for v in iter_bits(m):
-            rows[v] |= 1 << j
-    return rows
+    n = top.bit_length()
+    nb = (n + 7) // 8
+    w = 8 * nb
+    packed = int.from_bytes(b"".join(m.to_bytes(nb, "little") for m in masks), "little")
+    s = format(packed, f"0{len(masks) * w}b")
+    return [0] + [int(s[w - v::w], 2) for v in range(1, n + 1)]

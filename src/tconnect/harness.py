@@ -41,6 +41,7 @@ class Predictions:
     predicted_cm: bool | None
     ideal: SquareFreeIdeal = dc_field(compare=False, repr=False)
     cover_counts: dict = dc_field(compare=False, repr=False)  # minimal covers and search nodes
+    nu_counts: dict = dc_field(compare=False, repr=False)  # nu_t's method and candidates
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,7 +68,8 @@ def predict(g: Graph, t: int) -> Predictions:
     ideal = t_connected_ideal(g, t)
     stats = ideal.cover_stats()
     chordal = chordality(g).is_chordal
-    nu = nu_t(g, t).value
+    matching = nu_t(g, t)
+    nu = matching.value
     if chordal:
         pred = ((t - 1) * nu, stats.bight, nu == 1 if not ideal.is_zero else None, stats.unmixed)
     else:
@@ -76,6 +78,7 @@ def predict(g: Graph, t: int) -> Predictions:
         t, chordal, nu, stats.height, stats.bight, stats.unmixed,
         ideal.is_zero, *pred, ideal,
         {"minimal": len(stats.covers), "nodes": stats.nodes},
+        {"method": matching.method, "candidates": matching.candidates},
     )
 
 
@@ -121,7 +124,8 @@ class VerificationReport:
         }
         if include_meta:
             out["meta"] = {"timing_seconds": round(self.timing_seconds, 6),
-                           "covers": self.predictions.cover_counts}
+                           "covers": self.predictions.cover_counts,
+                           "nu_t": self.predictions.nu_counts}
             if self.oracle_counts is not None:
                 out["meta"]["oracle"] = self.oracle_counts
         return out

@@ -9,8 +9,9 @@ other order).  The zero ideal has no generators.
 Minimal primes are the minimal vertex covers (transversals) of the
 generator hypergraph; height/big height/unmixedness derive from them.
 Both the covers and the antichains are computed from per-vertex
-incidence bitsets (``bitset.incidence_rows``), never by comparing a set
-against every kept one:
+incidence bitsets (``bitset.incidence_rows``, one transpose of the
+generator masks with no per-bit loop), never by comparing a set against
+every kept one:
 
 - the covers come from a depth-first search (Murakami and Uno's MMCS)
   that grows one cover at a time and extends it by a vertex only when

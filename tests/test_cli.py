@@ -206,6 +206,19 @@ def test_verify_meta_reports_the_cover_search(monkeypatch, capsys):
     assert code == 0 and data["meta"]["covers"] == {"minimal": 0, "nodes": 0}  # zero ideal
 
 
+def test_verify_meta_reports_the_matching_search(monkeypatch, capsys):
+    monkeypatch.delenv("SR_MAX_ORACLE_N", raising=False)
+    code, data = run_json(capsys, ["verify", "--fixture", "fig1", "--t", "4"])
+    assert code == 0
+    assert data["meta"]["nu_t"] == {"method": "chordal-greedy", "candidates": 50}
+    code, data = run_json(capsys, ["verify", "--fixture", "cycle", "--param", "6", "--t", "3"])
+    assert code == 0
+    assert data["meta"]["nu_t"] == {"method": "branch-and-bound", "candidates": 6}
+    code, data = run_json(capsys, ["verify", "--fixture", "cycle", "--param", "6", "--t", "3",
+                                   "--no-meta"])
+    assert code == 0 and "meta" not in data
+
+
 def test_verify_byte_identical(capsys):
     argv = ["verify", "--fixture", "path", "--param", "5", "--t", "3", "--no-meta"]
     main(argv)

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
-from tconnect.graphs import connected_subsets, fixture, induced_subgraph, random_chordal
+from tconnect.graphs import chordality, connected_subsets, fixture, induced_subgraph, random_chordal
 from tconnect.ideals import t_connected_ideal
-from tconnect.matching import SearchSpaceError, nu_t
+from tconnect.matching import SearchSpaceError, _branch_and_bound, nu_t
 from util import (
     brute_hypergraph_induced_matching,
     brute_is_t_induced_matching,
@@ -68,13 +69,13 @@ def test_membership_matches_brute_force():
 
 # -- nu_t --------------------------------------------------------------------------
 
-# Witness blocks on fig1, as the README tour prints them; a change of
-# branching order or tie-break would alter them.
+# Witness blocks on fig1, as the README tour prints them: the chordal
+# greedy's picks.  A change of its sort key or tie-break would alter them.
 FIG1_BLOCKS = {
-    2: ((1, 2), (5, 6), (9, 10), (12, 13)),
-    3: ((3, 4, 5), (7, 8, 9), (12, 13, 14)),
-    4: ((2, 3, 4, 5), (11, 12, 13, 14)),
-    5: ((1, 2, 3, 4, 5), (10, 11, 12, 13, 14)),
+    2: ((1, 2), (5, 6), (9, 10), (13, 14)),
+    3: ((3, 4, 5), (8, 9, 10), (12, 13, 14)),
+    4: ((6, 7, 8, 9), (11, 12, 13, 14)),
+    5: ((4, 5, 6, 7, 8), (10, 11, 12, 13, 14)),
 }
 
 
@@ -105,6 +106,57 @@ def test_nu_long_paths_and_cycles():
     for t in (2, 3):
         assert nu_t(fixture("path", 40), t).value == 41 // (t + 1)
         assert nu_t(fixture("cycle", 40), t).value == 40 // (t + 1)
+
+
+def test_chordal_greedy_matches_branch_and_bound():
+    cases = 0
+    for n in range(4, 18):
+        for seed in range(3):
+            g = random_chordal(n, 100 * n + seed, 2 + (n + seed) % 6)
+            for t in range(2, 7):
+                got = nu_t(g, t)
+                assert got.method == "chordal-greedy"
+                ref = _branch_and_bound(g, connected_subsets(g, t))
+                assert got.value == ref.value, (n, seed, t)
+                assert got.candidates == ref.candidates
+                assert is_t_induced_matching(g, t, got.blocks)
+                cases += got.value > 1
+    assert cases > 40
+
+
+def test_nu_long_paths_within_budget():
+    # branch and bound took 12.8 s on path(64) at t = 3; the greedy takes
+    # about 5 ms on path(200)
+    slowest = 0.0
+    for n in [*range(2, 41), *range(41, 200, 7), 200]:
+        g = fixture("path", n)
+        for t in range(2, 6):
+            start = time.perf_counter()
+            got = nu_t(g, t)
+            slowest = max(slowest, time.perf_counter() - start)
+            assert got.value == (n + 1) // (t + 1), (n, t)
+    assert slowest < 0.25, slowest
+
+
+def test_nu_complete20_within_budget():
+    g = fixture("complete", 20)
+    start = time.perf_counter()
+    got = nu_t(g, 6)
+    elapsed = time.perf_counter() - start
+    assert got.value == 1 and got.method == "chordal-greedy"
+    assert elapsed < 1.0, elapsed  # 0.3 s, mostly connected_subsets; branch and bound 1.4 s
+
+
+def test_nu_non_chordal_takes_branch_and_bound():
+    graphs = [fixture("cycle", 40)]
+    graphs += [g for g in (random_graph(9, 0.4, seed) for seed in range(20))
+               if not chordality(g).is_chordal]
+    assert len(graphs) > 10
+    for g in graphs:
+        for t in (2, 3):
+            got = nu_t(g, t)
+            assert got.method == "branch-and-bound"
+            assert got == _branch_and_bound(g, connected_subsets(g, t))
 
 
 def test_nu_requires_t2():

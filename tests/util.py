@@ -23,6 +23,19 @@ from tconnect.graphs import Graph, graph_from_edges
 from tconnect.matching import _conflict_rows
 
 
+def brute_incidence_rows(masks):
+    """``bitset.incidence_rows`` one bit at a time: row v gets bit j for each
+    vertex v of masks[j]."""
+    top = 0
+    for m in masks:
+        top |= m
+    rows = [0] * (top.bit_length() + 1)
+    for j, m in enumerate(masks):
+        for v in iter_bits(m):
+            rows[v] |= 1 << j
+    return rows
+
+
 def brute_minimal_transversals(gens_vertices, n):
     """All minimal hitting sets by scanning every subset of 1..n.
 
