@@ -175,7 +175,10 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     g = random_chordal(args.n, args.seed, args.max_clique)
-    assert chordality(g).is_chordal
+    if not chordality(g).is_chordal:
+        print(f"error: the generated graph (n={args.n}, seed={args.seed}, "
+              f"max_clique={args.max_clique}) is not chordal", file=sys.stderr)
+        return 1
     text = format_graph(g)
     if args.out:
         try:

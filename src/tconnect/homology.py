@@ -23,10 +23,8 @@ complex of the colon ideal (I : x_v), so the cone test is the one above,
 on the ``covered`` table of (I : x_v) over the subsets avoiding v.  These
 colon tables are built one vertex at a time, and ``via[W]`` records v + 1
 for the first vertex whose link is a cone (0 for none).  W is walked in
-ascending order, so W - v is always done before W, and each derived W
-records the evaluated or joined W its homology comes from (none when the
-chain of derivations ends in a cone).  The memory of every table is
-estimated against physical memory before any is allocated.
+ascending order, so W - v is always done before W.  The memory of every
+table is estimated against physical memory before any is allocated.
 
 A non-cone W with no cone link is joined when the generators inside it
 fall into two or more components (two generators meet when they share a
@@ -37,21 +35,24 @@ which the walk has already handled.  Over a field the reduced homology
 of a join is the convolution H_{k+1}(A * B) = sum over i + j = k of
 H_i(A) (x) H_j(B) (Milnor 1956; Bjorner, "Topological methods", 1995):
 with dimensions indexed from degree -1, the parts multiply like
-polynomials.  A joined W records its components' sources and no faces;
-over each field its dimensions are the convolution of its components'
-dimensions over that same field, with no collapse and no rank.  The
-reduced Euler characteristic of a join is minus the product of its
-parts', so the Euler audit below checks the convolution: a product
-shifted by one degree fails it whenever that characteristic is nonzero.
+polynomials.  A derived W is the join of one part, W - v, so both kinds
+are recorded the same way: a linked W keeps its parts (W - v, or its
+components) and no faces.  Over each field its dimensions are the
+convolution of its parts' dimensions over that same field, with no
+collapse and no rank; a part that is a cone (W - v may be one) has no
+homology.  The reduced Euler characteristic of a join is minus the
+product of its parts', so the Euler audit below checks the convolution:
+a product shifted by one degree fails it whenever that characteristic is
+nonzero.
 
 The remaining W are evaluated: each complex is shrunk by elementary
 collapses (removing free face pairs), which preserves the homotopy type
 and hence every homology dimension.  None of this depends on the field.
-The scan, the derivations, the joins and the collapsed complexes (their
-faces kept in one array per W, of the narrowest machine integer that
-holds n bits, each size in ascending order) form a
-``HochsterReduction``, built once per ideal; only the boundary ranks and
-the convolutions depend on the field.  ``betti_table_ideal`` ranks the
+The scan, the linked W and the collapsed complexes (their faces kept in
+one array per W, of the narrowest machine integer that holds n bits,
+each size in ascending order) form a ``HochsterReduction``, built once
+per ideal; only the boundary ranks and the convolutions depend on the
+field.  ``betti_table_ideal`` ranks the
 reduction over one field, and ``BettiTable.over`` ranks the same
 reduction over another, each field on its own.
 
@@ -59,8 +60,8 @@ Every W in the sum is audited over every field.  Its alternating
 homology sum must equal chi[W], the reduced Euler characteristic from
 the Euler table: the zeta transform (subset sums) of the signed face
 indicator, built once.  No dimension may be negative.  For an evaluated
-W this checks its face lists and their collapse; for a joined W, the
-convolution of its components.  A wrong derivation changes the Euler
+W this checks its face lists and their collapse; for a linked W, the
+convolution of its parts.  A wrong derivation changes the Euler
 characteristic by that of the link, so it fails the audit whenever the
 link's is nonzero.  These audits do not check the ranks: the rank terms
 cancel in the alternating sum.  The ranks are audited once per table
@@ -324,13 +325,13 @@ class BettiTable:
 
     @property
     def derived(self) -> int:
-        """W whose homology was taken from W - v (a cone link)."""
-        return len(self.reduction.derived_w)
+        """W whose homology was taken from W - v (a cone link): linked W of one part."""
+        return self.reduction.linked_k.count(1)
 
     @property
     def joined(self) -> int:
-        """W whose homology was taken from their components (a join)."""
-        return len(self.reduction.joined_w)
+        """W whose homology was taken from their components (a join): linked W of two or more."""
+        return len(self.reduction.linked_k) - self.derived
 
     def over(self, fld: Field) -> BettiTable:
         """The table over another field, ranked from the same collapsed complexes."""
@@ -471,46 +472,37 @@ def _mark_cone_links(via: bytearray, covered: list[int], cov_v: list[int], b: in
 class HochsterReduction:
     """The field-independent part of the Hochster sum of one ideal.
 
-    A source is an evaluated or a joined W, the one a W takes its homology
-    from; 0 stands for a cone, which has none.  Each evaluated W keeps its
-    collapsed complex; each joined W keeps its number of components, their
-    sources (one flat array for all joined W) and its Euler characteristic;
-    each derived W keeps its source and its Euler characteristic.  All are
-    in ascending order of W.  ``betti_table`` ranks the complexes over one
-    field.
+    Each evaluated W keeps its collapsed complex.  Each linked W keeps its
+    number k of parts, the parts (one flat array for all linked W) and its
+    Euler characteristic: one part W - v for a cone link of v, or its
+    k >= 2 components for a join.  Both lists are in ascending order of W.
+    ``betti_table`` ranks the complexes over one field.
     """
 
     def __init__(self, ideal: SquareFreeIdeal):
         self.ideal = ideal
         self.evaluated: list[_Collapsed] = []
-        self.joined_w = array("q")
-        self.joined_k = array("q")
-        self.joined_src = array("q")
-        self.joined_chi = array("q")
-        self.derived_w = array("q")
-        self.derived_src = array("q")
-        self.derived_chi = array("q")
+        self.linked_w = array("q")
+        self.linked_k = array("q")
+        self.linked_parts = array("q")
+        self.linked_chi = array("q")
 
     def betti_table(self, fld: Field) -> BettiTable:
         """Rank every evaluated W over fld, join and audit every W, and sum the table."""
         table = BettiTable(self.ideal.n, fld, self, {(0, 0): 1})
         entries = table.entries
-        dims_of = {0: []}  # source W -> its dimensions over fld
+        dims_of: dict[int, list[int]] = {}  # non-cone W -> its dimensions over fld
         for cx in self.evaluated:
             dims = _homology_dims(cx, fld)
             dims_of[cx.w] = dims
             _add_homology(entries, cx.w, dims)
-        parts = iter(self.joined_src)
-        for w, k, chi in zip(self.joined_w, self.joined_k, self.joined_chi):
-            # every component is below W, so its source came first
-            dims = reduce(_join, map(dims_of.__getitem__, islice(parts, k)))
-            _audit_euler(dims, chi, w, fld, "joined dimensions")
+        parts = iter(self.linked_parts)
+        for w, k, chi in zip(self.linked_w, self.linked_k, self.linked_chi):
+            # every part is below W, so it came first; a missing part is a cone
+            dims = reduce(_join, [dims_of.get(p, []) for p in islice(parts, k)])
+            _audit_euler(dims, chi, w, fld, "derived dimensions" if k == 1 else "joined dimensions")
             dims_of[w] = dims
             _add_homology(entries, w, dims)
-        for w, src, chi in zip(self.derived_w, self.derived_src, self.derived_chi):
-            dims = dims_of[src]
-            _audit_euler(dims, chi, w, fld, "derived dimensions")
-            _add_homology(entries, w, dims)  # the source's homology, counted at |W|
         _audit_first_syzygies(self.ideal, table)
         return table
 
@@ -526,7 +518,7 @@ def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) 
 
 
 def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
-    """Scan every W once: skip cones, derive W with a cone link, join split W, collapse the rest."""
+    """Scan every W once: skip cones, link W with a cone link or split generators, collapse the rest."""
     n = ideal.n
     cap = oracle_cap(max_vars)
     if n > cap:
@@ -553,28 +545,22 @@ def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
         del cov_v  # one colon table alive at a time
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
-    source: dict[int, int] = {}  # W -> its source, when it has one
     for w in range(1, size):
         if covered[w] != w:
             continue  # some vertex of W lies in no generator inside W: a cone
         if via[w]:
             # the link of v is a cone, so the restriction to W is homotopy
-            # equivalent to the restriction to W - v, which came first
-            src = source.get(w ^ (1 << via[w] - 1), 0)
-            red.derived_w.append(w)
-            red.derived_src.append(src)
-            red.derived_chi.append(chi[w])
-            if src:
-                source[w] = src
-            continue
-        parts = _components(w, ideal.gens)
-        if len(parts) > 1:
-            # the restriction to W is the join of the restrictions to its
-            # components, each a non-cone below W
-            red.joined_w.append(w)
-            red.joined_k.append(len(parts))
-            red.joined_src.extend(source.get(p, 0) for p in parts)
-            red.joined_chi.append(chi[w])
+            # equivalent to the restriction to W - v: a join of one part
+            parts = [w ^ (1 << via[w] - 1)]
+        else:
+            # the restriction to W is the join of the restrictions to the
+            # components of its generators, each a non-cone below W
+            parts = _components(w, ideal.gens)
+        if via[w] or len(parts) > 1:
+            red.linked_w.append(w)
+            red.linked_k.append(len(parts))
+            red.linked_parts.extend(parts)
+            red.linked_chi.append(chi[w])
         else:
             cards: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
             for s in submasks(w):
@@ -584,7 +570,6 @@ def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
             red.evaluated.append(_Collapsed(
                 w, chi[w], tuple(map(len, work)), array(code, chain.from_iterable(work))
             ))
-        source[w] = w
     return red
 
 

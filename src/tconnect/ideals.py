@@ -19,9 +19,10 @@ every kept one:
   transversal is reached exactly once and no cover list is kept;
 - a support m contains a kept support iff some kept one avoids every
   vertex outside m: one AND-NOT against the OR of those vertices' rows
-  (supports are walked by size and tested against the smaller kept ones);
-- a sum of two ideals merges their antichains through one incidence
-  index, built over the larger of the two.
+  (supports are walked by size and tested against the smaller kept ones).
+  Every ideal is minimalised this way: one built from supports, a sum
+  (the union of both antichains), an intersection (the pairwise lcms)
+  and a colon.
 """
 
 from __future__ import annotations
@@ -77,39 +78,9 @@ class SquareFreeIdeal:
             raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
 
     def add(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
-        """Sum of two ideals: a merge of two antichains, with no full re-prune.
-
-        One incidence index is built, over the larger operand.  A large
-        generator is dropped when it contains a small generator s: the
-        large generators that contain s are the AND of the rows of s's
-        vertices.  A small generator s is then dropped when it contains a
-        kept large generator, that is when the kept ones meet the
-        complement of the OR of the rows of the vertices outside s.  A
-        generator of both is dropped on the large side only, so it is
-        kept once.
-        """
+        """Sum of two ideals: the minimal supports of both generating sets."""
         self._check_ambient(other)
-        big, small = sorted((self.gens, other.gens), key=len, reverse=True)
-        rows = incidence_rows(big)
-        rows += [0] * (self.n + 1 - len(rows))  # no large generator holds these vertices
-        full = (1 << len(big)) - 1
-        above = 0  # the large generators that contain a small one
-        for s in small:
-            inside = full
-            for v in iter_bits(s):
-                inside &= rows[v]
-            above |= inside
-        kept = full & ~above
-        vertex_rows = [(bit(v), r) for v, r in enumerate(rows) if r]
-        out = [g for j, g in enumerate(big) if not above >> j & 1]
-        for s in small:
-            outside = 0
-            for b, r in vertex_rows:
-                if not s & b:
-                    outside |= r
-            if not kept & ~outside:
-                out.append(s)
-        return SquareFreeIdeal(self.n, tuple(sorted(out)))
+        return SquareFreeIdeal(self.n, minimalize_masks(self.gens + other.gens))
 
     def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check_ambient(other)
@@ -210,8 +181,7 @@ def _not_above(kept: Sequence[int], masks: Iterable[int]) -> list[int]:
     A support lies inside m iff it has no vertex outside m, that is iff its
     bit is clear in the OR of the incidence rows of the vertices outside m.
     The rows are built once over ``kept``, so this pays off when many
-    masks are tested; ``add`` reads the same test off the index it builds
-    over its larger operand.
+    masks are tested.
     """
     vertex_rows = [(bit(v), r) for v, r in enumerate(incidence_rows(kept)) if r]
     full = (1 << len(kept)) - 1

@@ -275,6 +275,17 @@ def test_gen_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_gen_refuses_a_graph_that_is_not_chordal(tmp_path, monkeypatch, capsys):
+    # a generator fault: the check must hold under python -O too, and write nothing
+    monkeypatch.setattr(tconnect.cli, "random_chordal", lambda n, seed, max_clique: fixture("cycle", 5))
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--n", "5", "--out", str(out)]) == 1
+    assert main(["gen", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert "not chordal" in captured.err
+
+
 # -- errors and plumbing -----------------------------------------------------------
 
 

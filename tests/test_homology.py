@@ -316,23 +316,50 @@ def test_audit_rejects_a_wrong_join(monkeypatch, private_audit):
     assert private_audit["failures"] == 3
 
 
-# the 6-vertex real projective plane: H_1 and H_2 are GF(2)^1 over GF(2), 0 over Q
-RP2_FACETS = ((1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
-              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6))
+# the minimal 6-vertex triangulation of the real projective plane:
+# H_1 and H_2 are GF(2)^1 over GF(2), 0 over Q
+RP2_FACETS = {
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+}
+RP2_NON_FACES = [c for c in combinations(range(1, 7), 3) if c not in RP2_FACETS]
 
 
 def test_joined_homology_is_taken_over_the_same_field():
     # its Stanley-Reisner ideal (the triangles that are not facets) plus a
     # generator on two new vertices: every W that meets both restricts to a
     # join, whose homology over GF(2) differs from that over Q
-    non_faces = set(combinations(range(1, 7), 3)) - set(RP2_FACETS)
-    ideal = SquareFreeIdeal.make(8, [*non_faces, (7, 8)])
+    ideal = SquareFreeIdeal.make(8, [*RP2_NON_FACES, (7, 8)])
     table = betti_table_ideal(ideal, GF2)
     assert table.joined
     over_q = table.over(QQ)
     assert table.entries == brute_betti_table(gens_vertices(ideal), 8, 2)
     assert over_q.entries == brute_betti_table(gens_vertices(ideal), 8, None)
     assert table.entries != over_q.entries
+
+
+def test_derived_homology_is_taken_over_the_same_field():
+    # plus {7, b} for b = 2..6: the link of 7 in [1..7] is the cone
+    # {empty, {1}}, so [1..7] derives from [1..6], which restricts to the
+    # projective plane; 56 W derive, and each must take its part's homology
+    # over the table's own field
+    ideal = SquareFreeIdeal.make(7, [*RP2_NON_FACES, *((b, 7) for b in range(2, 7))])
+    table = betti_table_ideal(ideal, GF2)
+    red = table.reduction
+    assert table.derived == len(red.linked_w) == 56  # one part each, so parts line up with W
+    assert red.linked_parts[red.linked_w.index(0b1111111)] == 0b111111
+    for fld in (GF2, GF3, QQ):
+        assert table.over(fld).entries == brute_betti_table(gens_vertices(ideal), 7, fld.p)
+    assert (5, 7) in table.entries and (5, 7) not in table.over(QQ).entries
+
+
+def test_fig1_reduction_counts():
+    # (evaluations, derived, joined) of fig1 on vertices 1..12 at t = 2..5
+    fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 13))
+    want = {2: (44, 1275, 242), 3: (118, 469, 188), 4: (173, 253, 45), 5: (218, 146, 4)}
+    got = {t: reduction_counts(betti_table_ideal(t_connected_ideal(fig1_prefix, t), GF2))
+           for t in want}
+    assert got == want
 
 
 # -- derived invariants ----------------------------------------------------------
@@ -454,23 +481,9 @@ def test_field_independence_on_chordal_graphs():
 # -- published anchor values ----------------------------------------------------------
 
 
-# minimal 6-vertex triangulation of the projective plane
-RP2_FACETS = {
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-}
-
-
-def rp2_ideal():
-    from itertools import combinations
-
-    nonfaces = [c for c in combinations(range(1, 7), 3) if c not in RP2_FACETS]
-    return SquareFreeIdeal.make(6, nonfaces)
-
-
 def test_projective_plane_betti_tables():
     # the classical example of characteristic-dependent Betti numbers
-    ideal = rp2_ideal()
+    ideal = SquareFreeIdeal.make(6, RP2_NON_FACES)
     over_q = betti_table_ideal(ideal, QQ)
     assert over_q.entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
     assert over_q.reg() == 2 and over_q.pd() == 3

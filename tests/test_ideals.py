@@ -101,7 +101,7 @@ def test_add_merges_antichains():
         shared = rng.sample(a.gens, rng.randint(0, len(a.gens)))
         b = SquareFreeIdeal.make(n, random_masks(rng, n, rng.randint(0, 12)) + shared)
         for x, y in ((a, b), (b, a), (a, a), (a, SquareFreeIdeal.zero(n))):
-            assert x.add(y) == SquareFreeIdeal.make(n, x.gens + y.gens)
+            assert x.add(y).gens == tuple(sorted(brute_minimalize(x.gens + y.gens)))
 
 
 def test_constructor_requires_ascending_distinct_gens():

@@ -1,4 +1,4 @@
-"""Each module of the package uses every name it imports."""
+"""Each module of the package uses every name it imports and holds no assert statement."""
 
 import ast
 from pathlib import Path
@@ -29,3 +29,17 @@ def test_unused_imports_detects_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the assert statements of a module; ``python -O`` strips them."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_lines_detects_an_assert():
+    assert assert_lines("x = 1\nassert x\nif x:\n    assert x > 0, 'positive'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
