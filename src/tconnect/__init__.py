@@ -11,6 +11,7 @@ from .graphs import (
     ChordalityCertificate,
     Graph,
     GraphParseError,
+    SearchSpaceError,
     chordality,
     connected_subsets,
     fixture,
@@ -29,7 +30,6 @@ from .ideals import (
 )
 from .matching import (
     MatchingResult,
-    SearchSpaceError,
     nu_t,
 )
 from .homology import (

@@ -25,6 +25,7 @@ from .decomposition import (
 from .graphs import (
     Graph,
     GraphParseError,
+    SearchSpaceError,
     chordality,
     fixture,
     format_graph,
@@ -42,7 +43,6 @@ from .homology import (
     homological_invariants,
 )
 from .ideals import t_clique_ideal, t_connected_ideal
-from .matching import SearchSpaceError
 
 
 class CliError(Exception):
@@ -139,6 +139,9 @@ def cmd_verify(args) -> int:
     fld = _parse_field(args.field)
     cross = tuple(f for f in (GF2, GF3, QQ) if f != fld) if args.cross_field else ()
     if args.random:
+        for flag in ("fixture", "param", "path", "decompose", "order"):
+            if getattr(args, flag) is not None:
+                raise CliError(f"--{flag} has no effect with --random")
         t_set = tuple(int(t) for t in args.t.split(","))
         config = CorpusConfig(
             count=args.count, n_max=args.n_max, t_set=t_set, seed=args.seed,
@@ -152,15 +155,15 @@ def cmd_verify(args) -> int:
         t = int(args.t)
     except ValueError:
         raise CliError(f"single-graph verify needs one integer --t, got {args.t!r}")
+    order = None
+    if args.order == "paper":
+        if not (args.fixture == "fig1" and t == 4 and args.decompose == 5):
+            raise CliError("--order paper is only valid with --fixture fig1 --t 4 --decompose 5")
+        order = FIG1_X5_T4_WORKED_ORDER
     report = verify_graph(g, t, fld, cross_fields=cross, source=desc)
     out = report.to_json_dict(include_meta=not args.no_meta)
     failed = bool(report.failures)
     if args.decompose is not None:
-        order = None
-        if args.order == "paper":
-            if not (args.fixture == "fig1" and t == 4 and args.decompose == 5):
-                raise CliError("--order paper is only valid with --fixture fig1 --t 4 --decompose 5")
-            order = FIG1_X5_T4_WORKED_ORDER
         ledg = ledger(g, args.decompose, t, order)
         main_rep = verify_identities(ledg)
         dom_rep = verify_dominating_intersections(ledg)
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check reg/pd over each other field of GF(2), GF(3), Q")
     p.add_argument("--decompose", type=int, default=None,
                    help="also verify the peeling identities at this simplicial vertex")
-    p.add_argument("--order", choices=("default", "paper"), default="default",
+    p.add_argument("--order", choices=("default", "paper"),
                    help="ordering of the peeling; 'paper' replays the fig1 worked order")
     p.add_argument("--no-meta", action="store_true", help="omit timing and counter metadata")
     p.set_defaults(func=cmd_verify)

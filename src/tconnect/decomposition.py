@@ -107,9 +107,9 @@ def ledger(
     g: Graph, x: int, t: int, order: Sequence[Iterable[int]] | None = None
 ) -> DecompositionLedger:
     """Build every ideal of the peeling at x; x must be simplicial."""
+    cs = a_x_list(g, x, t, order)  # checks x's range first
     if x not in simplicial_vertices(g):
         raise ValueError(f"vertex {x} is not simplicial")
-    cs = a_x_list(g, x, t, order)
     base = t_connected_ideal(g, t)
     bs = b_sets(g, cs)
     entries = []

@@ -3,7 +3,8 @@
 Provides parsing/formatting of the edge-list text format, named fixtures,
 neighborhoods, induced subgraphs, connectivity, connected t-subset
 enumeration (grown along neighbors from single vertices, so its cost
-follows the output rather than C(n, t); the result is sorted),
+follows the output rather than C(n, t); the result is sorted, and more
+than ``CANDIDATE_CAP`` t-sets raise ``SearchSpaceError`` before any use),
 chordality certificates (Lex-BFS + perfect elimination check),
 simplicial vertices, and a seeded random chordal generator.
 """
@@ -20,6 +21,13 @@ from .bitset import bit, iter_bits, vertices_of
 
 class GraphParseError(ValueError):
     """Malformed edge-list document; the message names the offending line."""
+
+
+class SearchSpaceError(RuntimeError):
+    """More connected t-subsets than ``CANDIDATE_CAP``."""
+
+
+CANDIDATE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -51,11 +59,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def neighbors_mask(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return self.adj[v - 1]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -235,7 +238,8 @@ def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
     Grown level by level from single vertices: each connected k-set keeps
     its open neighborhood, and the (k+1)-sets are the k-sets plus one
     neighbor each, so no disconnected set is ever formed.  The last level
-    is sorted by vertex tuple.
+    is sorted by vertex tuple; more than ``CANDIDATE_CAP`` sets in it (not
+    in the levels grown on the way) raise ``SearchSpaceError`` first.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -248,6 +252,10 @@ def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
                 if d not in grown:
                     grown[d] = (nbrs | g.adj[w - 1]) & ~d
         level = grown
+    if len(level) > CANDIDATE_CAP:
+        raise SearchSpaceError(
+            f"{len(level)} connected {t}-subsets exceed the cap of {CANDIDATE_CAP}"
+        )
     return sorted(vertices_of(c) for c in level)
 
 

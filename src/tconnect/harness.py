@@ -144,7 +144,6 @@ def verify_graph(
     t: int,
     fld: Field = GF2,
     cross_fields: tuple[Field, ...] = (),
-    max_vars: int | None = None,
     source: str = "graph",
 ) -> VerificationReport:
     """Run oracle and predictions on one graph, record per-statement verdicts."""
@@ -161,7 +160,7 @@ def verify_graph(
         )
 
     try:
-        table = betti_table_ideal(preds.ideal, fld, max_vars=max_vars)
+        table = betti_table_ideal(preds.ideal, fld)
     except ResourceLimitError as exc:
         verdicts.append(Verdict("oracle", "not-applicable", str(exc)))
         return VerificationReport(

@@ -363,9 +363,7 @@ class BettiTable:
         }
 
 
-def oracle_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def oracle_cap() -> int:
     env = os.environ.get(ORACLE_CAP_ENV)
     if env:
         if not env.strip().isdecimal():
@@ -517,10 +515,10 @@ def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) 
             entries[(i, j)] = entries.get((i, j), 0) + d
 
 
-def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
+def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
     """Scan every W once: skip cones, link W with a cone link or split generators, collapse the rest."""
     n = ideal.n
-    cap = oracle_cap(max_vars)
+    cap = oracle_cap()
     if n > cap:
         raise ResourceLimitError(
             f"{n} variables exceed the oracle cap of {cap}; "
@@ -573,17 +571,13 @@ def _reduce(ideal: SquareFreeIdeal, max_vars: int | None) -> HochsterReduction:
     return red
 
 
-def betti_table_ideal(
-    ideal: SquareFreeIdeal,
-    fld: Field = GF2,
-    max_vars: int | None = None,
-) -> BettiTable:
+def betti_table_ideal(ideal: SquareFreeIdeal, fld: Field = GF2) -> BettiTable:
     """Full graded Betti table of R/I via the Hochster sum over subsets.
 
     ``over`` on the result gives the table over another field from the
     same reduction.
     """
-    return _reduce(ideal, max_vars).betti_table(fld)
+    return _reduce(ideal).betti_table(fld)
 
 
 def _audit_first_syzygies(ideal: SquareFreeIdeal, table: BettiTable) -> None:

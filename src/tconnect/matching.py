@@ -35,13 +35,6 @@ from .bitset import incidence_rows, iter_bits, mask_of, vertices_of
 from .graphs import Graph, chordality, connected_subsets, neighborhood_mask
 
 
-class SearchSpaceError(RuntimeError):
-    """The candidate set exceeds the configured cap."""
-
-
-DEFAULT_CANDIDATE_CAP = 50_000
-
-
 @dataclass(frozen=True)
 class MatchingResult:
     value: int
@@ -61,20 +54,17 @@ def _conflict_rows(g: Graph, masks: Sequence[int]) -> Iterator[int]:
         yield row
 
 
-def nu_t(g: Graph, t: int, cap: int = DEFAULT_CANDIDATE_CAP) -> MatchingResult:
+def nu_t(g: Graph, t: int) -> MatchingResult:
     """Maximum t-induced matching of G with a witnessing family.
 
-    Candidates are the connected t-subsets; two conflict when they
-    intersect or a graph edge joins them.  A chordal G takes the greedy
+    Candidates are the connected t-subsets, at most ``CANDIDATE_CAP`` of
+    them (``connected_subsets`` raises ``SearchSpaceError`` past it); two
+    conflict when they intersect or a graph edge joins them.  A chordal G takes the greedy
     of the module docstring, any other G branch and bound.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     subsets = connected_subsets(g, t)
-    if len(subsets) > cap:
-        raise SearchSpaceError(
-            f"{len(subsets)} connected {t}-subsets exceed the cap of {cap}"
-        )
     peo = chordality(g).peo
     if peo is None:
         return _branch_and_bound(g, subsets)

@@ -167,12 +167,13 @@ def test_criterion_9_ideal_equality_fixture():
            time.perf_counter() - start, 5)
 
 
-def test_criterion_11_paper_example_oracle_verified():
+def test_criterion_11_paper_example_oracle_verified(monkeypatch):
     # fig1 has n = 14, over the default oracle cap of 12: lift it explicitly
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "14")
     start = time.perf_counter()
     g = fixture("fig1")
     for t in (2, 3, 4, 5):
-        report_t = verify_graph(g, t, GF2, max_vars=14)
+        report_t = verify_graph(g, t, GF2)
         assert not report_t.oracle_skipped, t
         statuses = {v.statement: v.status for v in report_t.verdicts}
         for statement in ("reg_formula", "pd_formula", "linear_iff_gapfree", "cm_iff_unmixed"):

@@ -45,6 +45,14 @@ def test_analyze_zero_ideal_notice(capsys):
     assert "notice" in data
 
 
+def test_analyze_over_the_candidate_cap_exit2(monkeypatch, capsys):
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 49)
+    assert main(["analyze", "--fixture", "fig1", "--t", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "50 connected 4-subsets exceed the cap of 49" in captured.err
+
+
 def test_analyze_from_file(tmp_path, capsys):
     p = tmp_path / "g.txt"
     p.write_text("4\n1 2\n2 3\n3 4\n")
@@ -163,6 +171,20 @@ def test_verify_paper_order_guard(capsys):
                  "--decompose", "1", "--order", "paper"])
     assert code == 2
     assert "order paper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("verify --fixture fig1 --t 4 --order paper", "--order paper"),
+    ("verify --random --decompose 5", "--decompose"),
+    ("verify --random --order paper", "--order"),
+    ("verify --random --fixture fig1", "--fixture"),
+    ("verify --random --param 5", "--param"),
+    ("verify --random --path graph.txt", "--path"),
+])
+def test_verify_rejects_a_flag_it_would_ignore(capsys, argv, flag):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
 
 
 @pytest.mark.parametrize("field,cross", [

@@ -71,6 +71,11 @@ def test_ledger_requires_simplicial():
         ledger(FIG1, 9, 4)  # 9 has non-adjacent neighbors
 
 
+def test_ledger_checks_the_vertex_range_first():
+    with pytest.raises(ValueError, match="vertex 99 out of range 1..14"):
+        ledger(FIG1, 99, 4)
+
+
 def test_ledger_fig1_first_two_ideals():
     led = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
     assert gens_vertices(led.entries[0].j_ideal) == (

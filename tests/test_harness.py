@@ -1,6 +1,9 @@
 import json
 
-from tconnect.graphs import fixture
+import pytest
+
+import tconnect.graphs
+from tconnect.graphs import SearchSpaceError, fixture
 from tconnect.harness import (
     CorpusConfig,
     batch_verify,
@@ -9,6 +12,7 @@ from tconnect.harness import (
     verify_graph,
 )
 from tconnect.homology import GF2, GF3, QQ
+from tconnect.ideals import SquareFreeIdeal
 
 
 def verdict_map(report):
@@ -38,6 +42,16 @@ def test_predict_nonchordal_not_applicable():
     assert p.predicted_reg is None and p.predicted_pd is None
     assert p.predicted_linear is None and p.predicted_cm is None
     assert p.bight == 2
+
+
+def test_predict_checks_the_candidate_cap_before_the_covers(monkeypatch):
+    def no_covers(ideal):
+        raise AssertionError("cover_stats ran over the candidate cap")
+
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 49)
+    monkeypatch.setattr(SquareFreeIdeal, "cover_stats", no_covers)
+    with pytest.raises(SearchSpaceError, match="^50 connected 4-subsets exceed the cap of 49$"):
+        predict(fixture("fig1"), 4)
 
 
 def test_predict_zero_ideal():

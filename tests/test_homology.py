@@ -165,12 +165,13 @@ def test_betti_degree_one_counts_generators():
         assert {j: b for (i, j), b in table.entries.items() if i == 1} == degrees
 
 
-def test_betti_cap():
+def test_betti_cap(monkeypatch):
     ideal = t_connected_ideal(fixture("fig1"), 4)
     with pytest.raises(ResourceLimitError):
         betti_table_ideal(ideal, GF2)
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
     with pytest.raises(ResourceLimitError):
-        betti_table_ideal(ideal, GF2, max_vars=13)
+        betti_table_ideal(ideal, GF2)
 
 
 def test_betti_cap_env_override(monkeypatch):
@@ -190,13 +191,14 @@ def test_betti_table_memory_checked_before_allocation(monkeypatch):
     # 2^13 subsets of 113 bytes (covered and Euler tables 40 each, via 1,
     # half a colon table 20, fold slices 12) need 904 KiB; claim 896 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 896 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
-        betti_table_ideal(ideal, GF2, max_vars=13)
+        betti_table_ideal(ideal, GF2)
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1 << 20)
-    assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
+    assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
-    assert betti_table_ideal(ideal, GF2, max_vars=13).beta(1, 13) == 1
+    assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
 
 
 def test_betti_json_schema():

@@ -1,4 +1,5 @@
-"""Each module of the package uses every name it imports and holds no assert statement."""
+"""Each module of the package uses every name it imports, holds no assert statement
+and reads the environment only in ``homology.oracle_cap``."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,40 @@ def test_assert_lines_detects_an_assert():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Where a module touches os.environ or os.getenv: the enclosing function, or <module>."""
+    found = []
+
+    def scan(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ENV_NAMES
+                    and isinstance(child.value, ast.Name) and child.value.id == "os"):
+                found.append(where)
+            elif (isinstance(child, ast.ImportFrom) and child.module == "os"
+                    and ENV_NAMES & {a.name for a in child.names}):
+                found.append(where)
+            scan(child, where)
+
+    scan(ast.parse(source), "<module>")
+    return found
+
+
+def test_environment_reads_finds_every_form():
+    source = ("import os\nfrom os import getenv\nHOME = os.environ['HOME']\n"
+              "def cap():\n    return os.getenv('CAP')\n"
+              "def size():\n    return os.sysconf('SC_PAGE_SIZE')\n")
+    assert environment_reads(source) == ["<module>", "<module>", "cap"]
+
+
+def test_only_oracle_cap_reads_the_environment():
+    reads = {p.name: environment_reads(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: where for name, where in reads.items() if where} == {"homology.py": ["oracle_cap"]}

@@ -3,9 +3,17 @@ import time
 
 import pytest
 
-from tconnect.graphs import chordality, connected_subsets, fixture, induced_subgraph, random_chordal
+import tconnect.graphs
+from tconnect.graphs import (
+    SearchSpaceError,
+    chordality,
+    connected_subsets,
+    fixture,
+    induced_subgraph,
+    random_chordal,
+)
 from tconnect.ideals import t_connected_ideal
-from tconnect.matching import SearchSpaceError, _branch_and_bound, nu_t
+from tconnect.matching import _branch_and_bound, nu_t
 from util import (
     brute_hypergraph_induced_matching,
     brute_is_t_induced_matching,
@@ -160,9 +168,19 @@ def test_nu_requires_t2():
         nu_t(fixture("path", 3), 1)
 
 
-def test_nu_candidate_cap():
-    with pytest.raises(SearchSpaceError):
-        nu_t(fixture("complete", 10), 3, cap=10)
+def test_nu_candidate_cap(monkeypatch):
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 10)
+    with pytest.raises(SearchSpaceError, match="^120 connected 3-subsets exceed the cap of 10$"):
+        nu_t(fixture("complete", 10), 3)
+
+
+def test_candidate_cap_counts_the_returned_sets(monkeypatch):
+    # complete(6) grows 20 3-sets on the way to its 6 5-sets
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 15)
+    g = fixture("complete", 6)
+    assert nu_t(g, 5).value == 1
+    with pytest.raises(SearchSpaceError, match="^20 connected 3-subsets exceed the cap of 15$"):
+        nu_t(g, 3)
 
 
 def test_nu_matches_brute_force():

@@ -347,15 +347,15 @@ def lcm_l_ideal(n, c, j_ideal, k_ideal):
 
 
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:
-    return vertices_of(g.neighbors_mask(v))
+    return vertices_of(g.adj[v - 1])
 
 
 def degree(g: Graph, v: int) -> int:
-    return g.neighbors_mask(v).bit_count()
+    return g.adj[v - 1].bit_count()
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
-    return bool(g.neighbors_mask(u) & bit(v))
+    return bool(g.adj[u - 1] & bit(v))
 
 
 def gens_vertices(ideal) -> tuple[tuple[int, ...], ...]:
