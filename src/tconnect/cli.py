@@ -144,12 +144,20 @@ def cmd_verify(args) -> int:
                 raise CliError(f"--{flag} has no effect with --random")
         t_set = tuple(int(t) for t in args.t.split(","))
         config = CorpusConfig(
-            count=args.count, n_max=args.n_max, t_set=t_set, seed=args.seed,
-            field=fld, max_clique=args.clique_cap, cross_fields=cross,
+            count=50 if args.count is None else args.count,
+            n_max=10 if args.n_max is None else args.n_max,
+            t_set=t_set,
+            seed=1 if args.seed is None else args.seed,
+            field=fld,
+            max_clique=4 if args.clique_cap is None else args.clique_cap,
+            cross_fields=cross,
         )
         report = batch_verify(config)
         _emit(report.to_json_dict(include_meta=not args.no_meta))
         return 0 if report.all_passed else 1
+    for flag in ("count", "n_max", "seed", "clique_cap"):
+        if getattr(args, flag) is not None:
+            raise CliError(f"--{flag.replace('_', '-')} has no effect without --random")
     g, desc = _load_graph(args)
     try:
         t = int(args.t)
@@ -220,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="theorem verdicts on a graph or random corpus")
     _add_graph_source(p)
     p.add_argument("--random", action="store_true", help="verify a random chordal corpus")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--clique-cap", type=int, default=4)
+    p.add_argument("--count", type=int, help="corpus size (--random only; default 50)")
+    p.add_argument("--n-max", type=int, help="largest corpus graph (--random only; default 10)")
+    p.add_argument("--seed", type=int, help="corpus seed (--random only; default 1)")
+    p.add_argument("--clique-cap", type=int, help="largest corpus clique (--random only; default 4)")
     p.add_argument("--t", default="2,3,4", help="t value (single graph) or comma list (corpus)")
     p.add_argument("--field", default="gf2")
     p.add_argument("--cross-field", action="store_true",

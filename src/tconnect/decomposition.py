@@ -12,7 +12,10 @@ index, and a family of ideals, each built once:
     L_i = the sum over w in B_i of x_w * R_i(w)
 
 J_i, R_i(w) and L_i come from the graph; the intersection of J_i and K_i
-is built once, from the K side.  The paper's L_i is
+is built once, from the K side: B_i misses C_i, so J_i = <x_{C_i}> ∩ <B_i>
+and J_i ∩ K_i = x_{C_i} * ((K_i : x_{C_i}) ∩ <B_i>), one colon and one
+intersection with a monomial prime (``SquareFreeIdeal.intersect_variables``),
+never L_i.  The paper's L_i is
 <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of those generators
 holds its own w in B_i, so that ideal is the sum of x_w * (L_i : x_w),
 and it equals the L_i above wherever every colon identity
@@ -133,9 +136,9 @@ def ledger(
         l_ideal = SquareFreeIdeal.make(
             g.n, [r | bit(w) for w, r_ideal in r_ideals.items() for r in r_ideal.gens]
         )
-        entries.append(
-            LedgerEntry(c, b, j_ideal, k_ideal, j_ideal.intersect(k_ideal), l_ideal, r_ideals)
-        )
+        # J_i ∩ K_i = <x_C> ∩ <B_i> ∩ K_i = x_C * ((K_i : x_C) ∩ <B_i>), as B_i misses C_i
+        jk_ideal = k_ideal.colon(cmask).intersect_variables(mask_of(b)).scale(cmask)
+        entries.append(LedgerEntry(c, b, j_ideal, k_ideal, jk_ideal, l_ideal, r_ideals))
     return DecompositionLedger(g, x, t, base, tuple(entries))
 
 

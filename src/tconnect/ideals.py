@@ -22,7 +22,10 @@ every kept one:
   (supports are walked by size and tested against the smaller kept ones).
   Every ideal is minimalised this way: one built from supports, a sum
   (the union of both antichains), an intersection (the pairwise lcms)
-  and a colon.
+  and a colon.  Intersecting with a monomial prime <x_v : v in P> needs
+  less: a generator meeting P stays, and one avoiding P times x_w (w in
+  P) is dropped only when it contains a kept generator meeting P in w
+  alone, one test per w (``intersect_variables``).
 """
 
 from __future__ import annotations
@@ -86,6 +89,29 @@ class SquareFreeIdeal:
         self._check_ambient(other)
         lcms = [a | b for a in self.gens for b in other.gens]
         return SquareFreeIdeal(self.n, minimalize_masks(lcms))
+
+    def intersect_variables(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
+        """I ∩ <x_v : v in support>, with no generic prune.
+
+        Let G be the generators of I and P the support.  The lcms of G with
+        the variables of P are S1 = {g in G : g meets P} and g | x_w for g
+        in G avoiding P and w in P.  S1 is an antichain, and no h in S1
+        lies above some g | x_w, since then h would lie above g, and h != g
+        as h meets P.  Two masks g | x_w and g' | x_w' never contain one
+        another unless equal: g' avoids P, so x_w in g' | x_w' forces
+        w = w', and then g lies in g'.  So g | x_w is redundant only below
+        an h of S1, and then h meets P in w alone and h - w lies in g: one
+        ``_not_above`` per w, against the stripped h of that w.
+        """
+        p = _as_mask(support)
+        meets = [g for g in self.gens if g & p]
+        avoids = [g for g in self.gens if not g & p]
+        out = list(meets)
+        for w in iter_bits(p):
+            b = bit(w)
+            stripped = [h ^ b for h in meets if h & p == b]
+            out += [g | b for g in _not_above(stripped, avoids)]
+        return SquareFreeIdeal(self.n, tuple(sorted(out)))
 
     def colon(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
         """Quotient (I : m) for a square-free monomial m."""
