@@ -17,9 +17,10 @@ every kept one:
   that grows one cover at a time and extends it by a vertex only when
   each of its vertices keeps a private generator, so every minimal
   transversal is reached exactly once and no cover list is kept;
-- a support m contains a kept support iff some kept one avoids every
-  vertex outside m: one AND-NOT against the OR of those vertices' rows
-  (supports are walked by size and tested against the smaller kept ones).
+- the supports that contain a kept support k are the AND of the rows of
+  k's vertices, the rows built over the supports tested: one AND per
+  vertex of each kept support, whatever the number of supports (they are
+  walked by size and tested against the smaller kept ones).
   Every ideal is minimalised this way: one built from supports, a sum
   (the union of both antichains), an intersection (the pairwise lcms)
   and a colon.  Intersecting with a monomial prime <x_v : v in P> needs
@@ -95,13 +96,15 @@ class SquareFreeIdeal:
 
         Let G be the generators of I and P the support.  The lcms of G with
         the variables of P are S1 = {g in G : g meets P} and g | x_w for g
-        in G avoiding P and w in P.  S1 is an antichain, and no h in S1
-        lies above some g | x_w, since then h would lie above g, and h != g
-        as h meets P.  Two masks g | x_w and g' | x_w' never contain one
-        another unless equal: g' avoids P, so x_w in g' | x_w' forces
-        w = w', and then g lies in g'.  So g | x_w is redundant only below
-        an h of S1, and then h meets P in w alone and h - w lies in g: one
-        ``_not_above`` per w, against the stripped h of that w.
+        in G avoiding P and w in P.  No proper containment holds among them
+        except an h of S1 inside some g | x_w:
+        - S1 lies in the antichain G, and no h in S1 lies above a g | x_w,
+          for h would then lie above g, and h != g as h meets P;
+        - g | x_w inside g' | x_w' forces w = w', since g' avoids P, and
+          then g inside g', so g = g'.
+        So g | x_w is redundant only when some h of S1 meets P in w alone
+        and h - w lies in g: one ``_not_above`` per w, against the stripped
+        h of that w, and the union needs no further prune.
         """
         p = _as_mask(support)
         meets = [g for g in self.gens if g & p]
@@ -201,25 +204,26 @@ def minimal_transversals(gens: Sequence[int]) -> tuple[list[int], int]:
     return covers, nodes
 
 
-def _not_above(kept: Sequence[int], masks: Iterable[int]) -> list[int]:
+def _not_above(kept: Sequence[int], masks: Sequence[int]) -> list[int]:
     """The masks that contain no support of ``kept``, in their order.
 
-    A support lies inside m iff it has no vertex outside m, that is iff its
-    bit is clear in the OR of the incidence rows of the vertices outside m.
-    The rows are built once over ``kept``, so this pays off when many
-    masks are tested.
+    The masks that contain a support k are the AND of the incidence rows of
+    k's vertices, built once over ``masks`` (all of them when k = 0); so the
+    work per mask is one byte string in the transpose, not a loop.
     """
-    vertex_rows = [(bit(v), r) for v, r in enumerate(incidence_rows(kept)) if r]
-    full = (1 << len(kept)) - 1
-    out = []
-    for m in masks:
-        outside = 0
-        for b, r in vertex_rows:
-            if not m & b:
-                outside |= r
-        if not full & ~outside:
-            out.append(m)
-    return out
+    if not kept:
+        return list(masks)
+    rows = incidence_rows(masks)
+    top = len(rows)
+    full = (1 << len(masks)) - 1
+    above = 0
+    for k in kept:
+        inside = full
+        for v in iter_bits(k):
+            inside &= rows[v] if v < top else 0
+        above |= inside
+    # bit j of ``above`` is digit j from the right of its binary string
+    return [m for m, a in zip(masks, format(above, f"0{len(masks)}b")[::-1]) if a == "0"]
 
 
 def _prune_nonminimal(masks: Iterable[int]) -> list[int]:
@@ -231,7 +235,7 @@ def _prune_nonminimal(masks: Iterable[int]) -> list[int]:
     """
     kept: list[int] = []
     for _, level in groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
-        kept += _not_above(kept, level)
+        kept += _not_above(kept, list(level))
     return kept
 
 
