@@ -180,6 +180,10 @@ def test_verify_paper_order_guard(capsys):
     ("verify --random --fixture fig1", "--fixture"),
     ("verify --random --param 5", "--param"),
     ("verify --random --path graph.txt", "--path"),
+    ("verify --fixture fig1 --t 4 --count 5", "--count has no effect without --random"),
+    ("verify --fixture fig1 --t 4 --n-max 5", "--n-max has no effect without --random"),
+    ("verify --fixture fig1 --t 4 --seed 2", "--seed has no effect without --random"),
+    ("verify --fixture fig1 --t 4 --clique-cap 3", "--clique-cap has no effect without --random"),
 ])
 def test_verify_rejects_a_flag_it_would_ignore(capsys, argv, flag):
     assert main(argv.split()) == 2
@@ -257,6 +261,17 @@ def test_verify_corpus_byte_identical(capsys):
     first = capsys.readouterr().out
     main(argv)
     assert capsys.readouterr().out == first
+
+
+def test_verify_random_corpus_defaults(capsys):
+    # the corpus flags default to 50 / 10 / 1 / 4 under --random
+    main(["verify", "--random", "--no-meta"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3a26ca8cf2c27f8bd2760df4a249a51b8de3d3c2108fbe6592ee2458dd473e64")
+    main(["verify", "--random", "--count", "50", "--n-max", "10", "--seed", "1",
+          "--clique-cap", "4", "--no-meta"])
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("argv,digest", [

@@ -167,6 +167,21 @@ def test_identities_slow_chordal20_t5():
     assert len(report.records) == 550
 
 
+def test_ledger_intersections_match_the_pairwise_lcms():
+    # the ledger builds J_i ∩ K_i as x_C * ((K_i : x_C) ∩ <B_i>); the
+    # pairwise lcms of J_i and K_i are the reference
+    cases = [(FIG1, x, t) for t in range(2, 6) for x in simplicial_vertices(FIG1)]
+    for k in (0, 38):
+        g = random_chordal(20, k, 4)
+        cases += [(g, x, 5) for x in simplicial_vertices(g)]
+    entries = 0
+    for g, x, t in cases:
+        for e in ledger(g, x, t).entries:
+            assert e.jk_ideal == e.j_ideal.intersect(e.k_ideal), (g.n, x, t, e.c)
+            entries += 1
+    assert entries > 500
+
+
 def test_identity_order_independence_of_endpoints():
     # intermediate B sets depend on the ordering, the end identities do not
     led_a = ledger(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)
@@ -261,6 +276,28 @@ def test_fault_intersection_identity_drops_k_generator(monkeypatch):
             assert _failed(report, "3.5(2a)") >= hit, vertices_of(m)
             cases += len(hit)
     assert cases == 24
+
+
+@pytest.mark.parametrize("fault", ["keep every g * x_w", "drop the generators meeting P"])
+def test_fault_intersection_identity_on_the_prime_intersection(monkeypatch, fault):
+    # J_i ∩ K_i comes from (K_i : x_C).intersect_variables(B_i): a wrong prime
+    # intersection must show up as a 3.5(2a) failure at every index it changes
+    real = SquareFreeIdeal.intersect_variables
+
+    def faulty(self, p):
+        got = set(real(self, p).gens)
+        if fault == "keep every g * x_w":  # no test against the stripped S1
+            got |= {g | bit(w) for g in self.gens if not g & p for w in vertices_of(p)}
+        else:
+            got -= set(self.gens)
+        return SquareFreeIdeal(self.n, tuple(sorted(got)))
+
+    monkeypatch.setattr(SquareFreeIdeal, "intersect_variables", faulty)
+    led = ledger(FIG1, 5, 4)
+    wrong = {(i, None) for i, e in enumerate(led.entries, start=1)
+             if e.jk_ideal != e.j_ideal.intersect(e.k_ideal)}
+    assert wrong
+    assert _failed(verify_identities(led), "3.5(2a)") == wrong
 
 
 def test_fault_colon_identity_drops_rhs_generator():

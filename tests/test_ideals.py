@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from tconnect.bitset import bit
+from tconnect.bitset import bit, vertices_of
 from tconnect.decomposition import FIG1_X5_T4_WORKED_ORDER, ledger, verify_identities
 from tconnect.graphs import (
     connected_subsets,
@@ -171,6 +171,31 @@ def test_intersect_full_support():
 
 def test_intersect_zero():
     assert ideal(4, [1, 2]).intersect(SquareFreeIdeal.zero(4)).is_zero
+
+
+def test_intersect_variables_matches_the_pairwise_lcms():
+    rng = random.Random(29)
+    cases = [(SquareFreeIdeal.zero(4), 0b0110), (SquareFreeIdeal(4, (0,)), 0b0110),
+             (SquareFreeIdeal(4, (0,)), 0), (SquareFreeIdeal(4, (0,)), 0b1111),
+             (ideal(4, [1, 2], [3]), 0), (ideal(4, [1, 2], [3]), 0b1111)]
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        i = SquareFreeIdeal.make(n, random_masks(rng, n, rng.randint(0, 20)))
+        cases.append((i, rng.choice([0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)])))
+    for i, p in cases:
+        assert i.intersect_variables(p) == i.intersect(variables_ideal(i.n, vertices_of(p))), (i, p)
+
+
+def test_intersect_variables_builds_a_peeling_intersection():
+    # x_C * ((K : x_C) ∩ <B>) == x_C * <B> ∩ K for disjoint C and B
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        k = SquareFreeIdeal.make(n, random_masks(rng, n, rng.randint(0, 20)))
+        c = rng.getrandbits(n)
+        b = rng.getrandbits(n) & ~c
+        j = variables_ideal(n, vertices_of(b)).scale(c)
+        assert k.colon(c).intersect_variables(b).scale(c) == j.intersect(k), (k, c, b)
 
 
 def test_colon_variable():
