@@ -102,7 +102,7 @@ class VerificationReport:
     verdicts: list[Verdict]
     oracle_skipped: bool
     timing_seconds: float
-    oracle_counts: dict | None = None  # evaluated, derived and joined W of the oracle's reduction
+    oracle_counts: dict | None = None  # the oracle's W by kind and boundary ranks by certificate
 
     @property
     def failures(self) -> list[Verdict]:
@@ -206,7 +206,8 @@ def verify_graph(
     return VerificationReport(
         _graph_desc(g, source), t, fields, preds, inv.to_json_dict(), verdicts, False,
         time.perf_counter() - start,
-        {"evaluations": table.evaluations, "derived": table.derived, "joined": table.joined},
+        {"evaluations": table.evaluations, "derived": table.derived, "joined": table.joined,
+         **table.reduction.certificate_counts()},
     )
 
 

@@ -52,9 +52,14 @@ The scan, the linked W and the collapsed complexes (their faces kept in
 one array per W, of the narrowest machine integer that holds n bits,
 each size in ascending order) form a ``HochsterReduction``, built once
 per ideal; only the boundary ranks and the convolutions depend on the
-field.  ``betti_table_ideal`` ranks the
-reduction over one field, and ``BettiTable.over`` ranks the same
-reduction over another, each field on its own.
+field.  ``betti_table_ideal`` ranks the reduction over one field, and
+``BettiTable.over`` ranks the same reduction over another.  GF(2) ranks
+every boundary matrix on its own.  The first other field to need a
+matrix eliminates its integer rows once with +-1 pivots
+(``linalg.rank_unimodular``); when every pivot is +-1 that rank holds
+over every field, and the reduction keeps it for all of them.  Only a
+matrix that meets another pivot (the projective plane has one) is ranked
+again over each field by itself.
 
 Every W in the sum is audited over every field.  Its alternating
 homology sum must equal chi[W], the reduced Euler characteristic from
@@ -66,12 +71,16 @@ characteristic by that of the link, so it fails the audit whenever the
 link's is nonzero.  These audits do not check the ranks: the rank terms
 cancel in the alternating sum.  The ranks are audited once per table
 instead: beta_{1,j} must equal the number of generators of degree j.
+A rank certified over every field is also the GF(2) rank, so wherever
+the reduction knows both for one matrix they must agree.
 
 All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
-elimination; GF(p) and Q rows are sparse dicts {lower face index: +-1},
-ranked by sparse modular elimination and by sparse fraction-free integer
-elimination.  The collapse and the boundary rows walk one list of W's
-single-bit masks.
+elimination; the other rows are sparse dicts {lower face index: +-1},
+eliminated over the integers with +-1 pivots.  A matrix that falls back
+has its rows built again for each field, and ranked by sparse modular
+elimination over GF(p) and by sparse fraction-free integer elimination
+over Q.  The collapse and the boundary rows walk one list of
+W's single-bit masks.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ from typing import NamedTuple
 
 from .bitset import submasks, vertices_of
 from .ideals import SquareFreeIdeal
-from .linalg import rank_gf2, rank_mod_p, rank_rationals
+from .linalg import rank_gf2, rank_mod_p, rank_rationals, rank_unimodular
 
 DEFAULT_MAX_ORACLE_VARS = 12
 ORACLE_CAP_ENV = "SR_MAX_ORACLE_N"
@@ -195,40 +204,6 @@ def _collapse(cards: list[list[int]], wbits: list[int]) -> list[list[int]]:
     return out
 
 
-def _boundary_rank(upper: list[int], lower: list[int], fld: Field, wbits: list[int]) -> int:
-    """Rank of the boundary map from c-faces (upper) to (c-1)-faces (lower).
-
-    GF(2) rows are bitmasks over the lower faces; GF(p) and Q rows are
-    sparse dicts {lower index: +-1}, the sign alternating over the face's
-    vertices in ascending order.
-    """
-    if not upper or not lower:
-        return 0
-    if fld.p == 2:
-        index = {f: 1 << i for i, f in enumerate(lower)}
-        rows = []
-        for f in upper:
-            row = 0
-            for b in wbits:
-                if f & b:
-                    row |= index[f ^ b]
-            rows.append(row)
-        return rank_gf2(rows)
-    index = {f: i for i, f in enumerate(lower)}
-    rows = []
-    for f in upper:
-        row = {}
-        sign = 1
-        for b in wbits:
-            if f & b:
-                row[index[f ^ b]] = sign
-                sign = -sign
-        rows.append(row)
-    if fld.p is None:
-        return rank_rationals(rows)
-    return rank_mod_p(rows, fld.p)
-
-
 def _single_bits(w: int) -> list[int]:
     """W's single-bit masks in ascending order."""
     return [1 << i for i in range(w.bit_length()) if w >> i & 1]
@@ -271,25 +246,61 @@ class _Collapsed(NamedTuple):
     faces: array  # the collapsed faces, grouped by size in ascending order
 
 
-def _homology_dims(cx: _Collapsed, fld: Field) -> list[int]:
+def _boundary_faces(cx: _Collapsed, c: int) -> tuple[array, array]:
+    """W's collapsed c-faces and (c-1)-faces, each in ascending order."""
+    start = sum(cx.counts[:c - 1])
+    mid = start + cx.counts[c - 1]
+    return cx.faces[mid:mid + cx.counts[c]], cx.faces[start:mid]
+
+
+def _gf2_rows(upper: array, lower: array, wbits: list[int]) -> list[int]:
+    """Boundary rows from c-faces (upper) to (c-1)-faces (lower), bitmasks over the lower faces."""
+    index = {f: 1 << i for i, f in enumerate(lower)}
+    rows = []
+    for f in upper:
+        row = 0
+        for b in wbits:
+            if f & b:
+                row |= index[f ^ b]
+        rows.append(row)
+    return rows
+
+
+def _signed_rows(upper: array, lower: array, wbits: list[int]) -> list[dict[int, int]]:
+    """Integer boundary rows from c-faces (upper) to (c-1)-faces (lower).
+
+    Each row is a sparse dict {lower index: +-1}, the sign alternating
+    over the face's vertices in ascending order.
+    """
+    index = {f: i for i, f in enumerate(lower)}
+    rows = []
+    for f in upper:
+        row = {}
+        sign = 1
+        for b in wbits:
+            if f & b:
+                row[index[f ^ b]] = sign
+                sign = -sign
+        rows.append(row)
+    return rows
+
+
+def _homology_dims(cx: _Collapsed, fld: Field, red: HochsterReduction) -> list[int]:
     """Reduced homology dimensions over fld, indexed from degree -1.
 
-    Audits every evaluation: the alternating sum of the dimensions must be
-    the Euler characteristic of the complex before its collapse.
+    The boundary ranks come from ``red``, which shares them between fields
+    where it can.  Audits every evaluation: the alternating sum of the
+    dimensions must be the Euler characteristic of the complex before its
+    collapse.
     """
     f = cx.counts
     dims = list(f)
     if cx.faces:
-        flat = cx.faces.tolist()
-        work, start = [], 0
-        for c in f:
-            work.append(flat[start:start + c])
-            start += c
-        wbits = _single_bits(cx.w)
         ranks = [0] * (len(f) + 1)
         ranks[1] = 1 if (f[0] and len(f) > 1 and f[1]) else 0
         for c in range(2, len(f)):
-            ranks[c] = _boundary_rank(work[c], work[c - 1], fld, wbits)
+            if f[c] and f[c - 1]:
+                ranks[c] = red.boundary_rank(cx, c, fld)
         for c in range(len(f)):
             dims[c] = f[c] - ranks[c] - ranks[c + 1]
     _audit_euler(dims, cx.chi, cx.w, fld, "dimensions")
@@ -475,6 +486,13 @@ class HochsterReduction:
     Euler characteristic: one part W - v for a cone link of v, or its
     k >= 2 components for a join.  Both lists are in ascending order of W.
     ``betti_table`` ranks the complexes over one field.
+
+    ``certified`` maps (W, c), the boundary of W's c-faces, to its rank
+    from a +-1-pivot elimination, which holds over every field, or to None
+    where a pivot was not +-1.  The first field other than GF(2) to rank
+    the matrix fills the entry; every later one reads it and ranks on its
+    own only where it is None.  GF(2) keeps its bitmask elimination, and
+    its ranks (``gf2_ranks``) check the certified ones.
     """
 
     def __init__(self, ideal: SquareFreeIdeal):
@@ -484,6 +502,48 @@ class HochsterReduction:
         self.linked_k = array("q")
         self.linked_parts = array("q")
         self.linked_chi = array("q")
+        self.certified: dict[tuple[int, int], int | None] = {}
+        self.gf2_ranks: dict[tuple[int, int], int] = {}
+
+    def boundary_rank(self, cx: _Collapsed, c: int, fld: Field) -> int:
+        """Rank over fld of the boundary map from W's c-faces to its (c-1)-faces."""
+        key = (cx.w, c)
+        rank = self.certified.get(key)
+        if rank is not None and fld.p != 2:
+            return rank
+        upper, lower = _boundary_faces(cx, c)
+        wbits = _single_bits(cx.w)
+        if fld.p == 2:
+            gf2 = self.gf2_ranks[key] = rank_gf2(_gf2_rows(upper, lower, wbits))
+            if rank is not None:
+                self._audit_certificate(key)
+            return gf2
+        rows = _signed_rows(upper, lower, wbits)
+        if key not in self.certified:
+            rank = self.certified[key] = rank_unimodular(rows)
+            if rank is not None:
+                self._audit_certificate(key)
+                return rank
+        return rank_rationals(rows) if fld.p is None else rank_mod_p(rows, fld.p)
+
+    def _audit_certificate(self, key: tuple[int, int]) -> None:
+        """A rank certified over every field is the GF(2) rank too, where both are known."""
+        rank, gf2 = self.certified.get(key), self.gf2_ranks.get(key)
+        if rank is None or gf2 is None:
+            return
+        _AUDIT["checks"] += 1
+        if rank != gf2:
+            _AUDIT["failures"] += 1
+            w, c = key
+            raise HomologyAuditError(
+                f"audit failed: W={vertices_of(w)} has boundary rank {gf2} over GF(2) in "
+                f"degree {c - 1}, but its +-1 pivots certify rank {rank} over every field"
+            )
+
+    def certificate_counts(self) -> dict[str, int]:
+        """Boundary matrices ranked once for every field, and those ranked per field."""
+        failed = sum(rank is None for rank in self.certified.values())
+        return {"ranked_once": len(self.certified) - failed, "ranked_per_field": failed}
 
     def betti_table(self, fld: Field) -> BettiTable:
         """Rank every evaluated W over fld, join and audit every W, and sum the table."""
@@ -491,7 +551,7 @@ class HochsterReduction:
         entries = table.entries
         dims_of: dict[int, list[int]] = {}  # non-cone W -> its dimensions over fld
         for cx in self.evaluated:
-            dims = _homology_dims(cx, fld)
+            dims = _homology_dims(cx, fld, self)
             dims_of[cx.w] = dims
             _add_homology(entries, cx.w, dims)
         parts = iter(self.linked_parts)

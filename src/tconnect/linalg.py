@@ -2,12 +2,18 @@
 
 GF(2) rows are int bitmasks reduced by XOR pivoting.  GF(p) and rational
 rows are sparse: each is a dict from column to a nonzero integer entry,
-so a boundary row costs its c nonzeros rather than the full width.  Both
+so a boundary row costs its c nonzeros rather than the full width.  These
 eliminate on a row's highest column against a dict of pivot rows.  GF(p)
 pivots are made monic; the rational path stays fraction-free (integer
 cross-multiplication, each new pivot divided by its content), so no
-floating point or Fraction is involved anywhere.  Input rows are never
-modified.
+floating point or Fraction is involved anywhere.
+
+``rank_unimodular`` eliminates the same integer rows with no gcd and no
+modulus, and gives up (None) at the first pivot that is not +-1.  When it
+does not give up, its rank holds over Q and over every GF(p) at once:
+simplicial boundary matrices almost always reduce this way (Dumas,
+Heckenbach, Saunders and Welker, 2003), so one elimination can stand in
+for a rank per field.  Input rows are never modified.
 """
 
 from __future__ import annotations
@@ -77,4 +83,46 @@ def rank_rationals(rows: list[dict[int, int]]) -> int:
                     row[j] = x
                 else:
                     del row[j]  # b * y != 0, so j was in row
+    return len(pivots)
+
+
+def rank_unimodular(rows: list[dict[int, int]]) -> int | None:
+    """Rank of sparse integer rows over Q and every GF(p), or None.
+
+    Rows are eliminated as in ``rank_rationals``, on each row's highest
+    column, but with no gcd: a row whose lead c meets a pivot row (lead 1)
+    subtracts c times it.  A new pivot whose lead is -1 is negated.  The first new pivot whose
+    lead is not +-1 ends the elimination with None.
+
+    Why the count holds over every field: each step adds an integer
+    multiple of an earlier row or negates a row, so the steps compose to
+    one lower-triangular integer transform T with diagonal entries +-1.
+    det T = +-1, so T stays invertible mod every prime p, and T A has the
+    rank of A over Q and over every GF(p).  The rows of T A are the pivot
+    rows, whose leads are 1 in distinct columns (an echelon form, whose
+    rows stay independent mod p because 1 != 0 mod p), and rows that are
+    zero over the integers, hence zero mod every p.  So the number of
+    pivots is the rank over Q and over every GF(p).
+    """
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> row with lead 1
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            col = max(row)
+            prow = pivots.get(col)
+            if prow is None:
+                lead = row[col]
+                if lead == -1:
+                    row = {j: -x for j, x in row.items()}
+                elif lead != 1:
+                    return None
+                pivots[col] = row
+                break
+            c = row[col]
+            for j, y in prow.items():
+                x = row.get(j, 0) - c * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]  # c * y != 0, so j was in row
     return len(pivots)

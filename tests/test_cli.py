@@ -213,9 +213,13 @@ def test_verify_meta_reports_the_oracle_reduction(capsys):
     code, data = run_json(capsys, argv)
     assert code == 0
     table = betti_table_ideal(t_connected_ideal(fixture("path", 7), 3), GF2)
+    # GF(3) and Q share one +-1-pivot rank of each nonempty boundary matrix
+    boundaries = sum(bool(cx.counts[c] and cx.counts[c - 1])
+                     for cx in table.reduction.evaluated for c in range(2, len(cx.counts)))
     assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived,
-                                      "joined": table.joined}
-    assert table.evaluations and table.derived and table.joined
+                                      "joined": table.joined, "ranked_once": boundaries,
+                                      "ranked_per_field": 0}
+    assert table.evaluations and table.derived and table.joined and boundaries
     code, data = run_json(capsys, argv + ["--no-meta"])
     assert code == 0 and "meta" not in data
 
@@ -281,6 +285,10 @@ def test_verify_random_corpus_defaults(capsys):
      "6a5c625f03f12c7a00b5e63f9e0cf0f7dd6f7a629f58f246828332c85c140599"),
     ("analyze --fixture fig1 --t 4",
      "68f909f50c16e6bb712d5c4b387efdd41816dfb81a66bee56c8d8145f1060577"),
+    ("verify --fixture path --param 10 --t 3 --cross-field --no-meta",
+     "03b71818ecf7ef65c25c97d11cef2746cbdb346f01423fd22e2582f0716dc20a"),
+    ("verify --random --count 20 --n-max 11 --t 2,3,4 --cross-field --no-meta",
+     "0a290e0b49adb0955462cb340fe7673f4a3598fa1ee11914327524eaf9b0b6b0"),
 ])
 def test_golden_output(capsys, argv, digest):
     assert main(argv.split()) == 0

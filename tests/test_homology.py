@@ -253,7 +253,7 @@ def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
     assert private_audit["failures"] == 1
 
     # homology in degree |W| - 1 would land in homological degree 0
-    def top_only(cx, fld):
+    def top_only(cx, fld, red):
         return [0] * cx.w.bit_count() + [1]
 
     with monkeypatch.context() as m:
@@ -262,35 +262,106 @@ def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
             betti_table_ideal(ideal, GF2)
 
 
+def off_by_one(fn, delta=-1):
+    """fn with every rank it returns moved by delta (None stays None)."""
+    def wrong(*args):
+        rank = fn(*args)
+        return None if rank is None else max(rank + delta, 0)
+    return wrong
+
+
 def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audit):
-    # the GF(2) table is right; the GF(3) ranks of the shared complexes are not
-    rank_mod_p = tconnect.homology.rank_mod_p
+    # the GF(2) table is right; the ranks the +-1 pivots certify for GF(3)
+    # are not, and the GF(2) ranks of the same matrices reject them
+    with monkeypatch.context() as m:
+        m.setattr(tconnect.homology, "rank_unimodular",
+                  off_by_one(tconnect.homology.rank_unimodular))
+        with pytest.raises(HomologyAuditError, match=r"W=\(.*\) has boundary rank \d+ over GF\(2\)"):
+            verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3,))
+    assert private_audit["failures"] == 1
+
+    # a matrix of the projective plane has a pivot 2, so GF(3) ranks it on
+    # its own; a rank one too high there leaves a negative dimension
+    table = betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
     monkeypatch.setattr(tconnect.homology, "rank_mod_p",
-                        lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
+                        off_by_one(tconnect.homology.rank_mod_p, +1))
+    with pytest.raises(HomologyAuditError, match=r"W=\(1, 2, 3, 4, 5, 6\).*over GF\(3\)"):
+        table.over(GF3)
+    assert private_audit["failures"] == 2
+
+
+def test_audit_rejects_a_wrong_certified_rank_over_one_field(monkeypatch, private_audit):
+    # no GF(2) rank to compare with: the first syzygies reject it
+    monkeypatch.setattr(tconnect.homology, "rank_unimodular",
+                        off_by_one(tconnect.homology.rank_unimodular))
     with pytest.raises(HomologyAuditError, match="beta_1"):
-        verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3,))
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF3)
     assert private_audit["failures"] == 1
 
 
-def test_cross_field_verify_collapses_once_and_ranks_per_field(monkeypatch):
-    evaluations = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2).evaluations
+def test_audit_rejects_a_wrong_gf2_rank_after_a_certified_one(monkeypatch, private_audit):
+    # GF(3) ranks first, as under verify --field gf3 --cross-field
+    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF3)
+    monkeypatch.setattr(tconnect.homology, "rank_gf2", off_by_one(tconnect.homology.rank_gf2))
+    with pytest.raises(HomologyAuditError, match="certify rank"):
+        table.over(GF2)
+    assert private_audit["failures"] == 1
+
+
+def count_calls(monkeypatch, names):
+    """Wrap the named tconnect.homology functions; returns their call counter."""
     calls = Counter()
-
-    def counted(name):
-        fn = getattr(tconnect.homology, name)
-
-        def wrapper(*args):
+    for name in names:
+        def wrapper(*args, fn=getattr(tconnect.homology, name), name=name):
             calls[name] += 1
             return fn(*args)
 
         monkeypatch.setattr(tconnect.homology, name, wrapper)
+    return calls
 
-    for name in ("_collapse", "rank_gf2", "rank_mod_p", "rank_rationals"):
-        counted(name)
+
+def nonempty_boundaries(table):
+    """The boundary matrices of the reduction's collapsed complexes that have rows and columns."""
+    return sum(bool(cx.counts[c] and cx.counts[c - 1])
+               for cx in table.reduction.evaluated for c in range(2, len(cx.counts)))
+
+
+RANKS = ("rank_gf2", "rank_unimodular", "rank_mod_p", "rank_rationals")
+
+
+def test_cross_field_verify_collapses_once_and_ranks_per_field(monkeypatch):
+    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    evaluations, boundaries = table.evaluations, nonempty_boundaries(table)
+    calls = count_calls(monkeypatch, ("_collapse",) + RANKS)
     report = verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3, QQ))
     assert {v.statement: v.status for v in report.verdicts}["field_independence"] == "pass"
     assert evaluations and calls["_collapse"] == evaluations
-    assert calls["rank_gf2"] and calls["rank_mod_p"] and calls["rank_rationals"]
+    assert calls["rank_gf2"] == boundaries
+    # one +-1-pivot elimination per matrix serves GF(3) and Q together
+    assert boundaries and calls["rank_unimodular"] == boundaries
+    assert calls["rank_mod_p"] == calls["rank_rationals"] == 0
+    assert report.oracle_counts["ranked_once"] == boundaries
+    assert report.oracle_counts["ranked_per_field"] == 0
+
+
+def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypatch):
+    ideal = SquareFreeIdeal.make(6, RP2_NON_FACES)
+    calls = count_calls(monkeypatch, RANKS)
+    table = betti_table_ideal(ideal, GF2)
+    over_gf3, over_q = table.over(GF3), table.over(QQ)
+    # the one matrix whose elimination meets a pivot 2 is ranked by each field
+    assert table.reduction.certificate_counts() == {"ranked_once": 17, "ranked_per_field": 1}
+    assert calls["rank_unimodular"] == 18
+    assert calls["rank_mod_p"] == calls["rank_rationals"] == 1
+    assert over_gf3.entries == over_q.entries == brute_betti_table(gens_vertices(ideal), 6, None)
+    assert table.entries == brute_betti_table(gens_vertices(ideal), 6, 2) != over_q.entries
+
+
+def test_gf2_only_tables_run_no_certificate(monkeypatch):
+    calls = count_calls(monkeypatch, RANKS)
+    report = verify_graph(fixture("path", 6), 3, GF2)
+    assert calls["rank_gf2"] and calls["rank_unimodular"] == 0
+    assert report.oracle_counts["ranked_once"] == report.oracle_counts["ranked_per_field"] == 0
 
 
 def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):
@@ -362,6 +433,22 @@ def test_fig1_reduction_counts():
     got = {t: reduction_counts(betti_table_ideal(t_connected_ideal(fig1_prefix, t), GF2))
            for t in want}
     assert got == want
+
+
+def test_fig1_boundaries_rank_once_for_every_field(monkeypatch):
+    # every nonempty boundary matrix of fig1 on vertices 1..12 at t = 2..5
+    # reduces with +-1 pivots, so no field ranks one on its own
+    fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 13))
+    calls = count_calls(monkeypatch, ("rank_mod_p", "rank_rationals"))
+    once = {}
+    for t in (2, 3, 4, 5):
+        table = betti_table_ideal(t_connected_ideal(fig1_prefix, t), GF2)
+        table.over(GF3)
+        table.over(QQ)
+        counts = table.reduction.certificate_counts()
+        assert counts["ranked_per_field"] == 0
+        once[t] = counts["ranked_once"]
+    assert once == {2: 13, 3: 148, 4: 348, 5: 607} and not calls
 
 
 # -- derived invariants ----------------------------------------------------------

@@ -2,7 +2,7 @@ import copy
 import random
 from fractions import Fraction
 
-from tconnect.linalg import rank_gf2, rank_mod_p, rank_rationals
+from tconnect.linalg import rank_gf2, rank_mod_p, rank_rationals, rank_unimodular
 
 
 def sparse(rows):
@@ -118,3 +118,31 @@ def test_sparse_ranks_against_dense_references():
         assert rank_rationals(rows) == fraction_rank(m), m
         assert rows == before, "a rank routine changed its input rows"
 
+
+
+def test_rank_unimodular_holds_over_every_field():
+    rng = random.Random(79)
+    certified = 0
+    for _ in range(300):
+        cols = rng.randint(1, 10)
+        density = rng.random()
+        m = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rng.randint(1, 10))]
+        rows = sparse(m)
+        before = copy.deepcopy(rows)
+        rank = rank_unimodular(rows)
+        assert rows == before, "rank_unimodular changed its input rows"
+        if rank is not None:
+            certified += 1
+            assert rank == fraction_rank(m), m
+            for p in (2, 3, 1009):
+                assert rank == dense_rank_mod_p(m, p), (m, p)
+    assert 50 < certified < 300  # both outcomes are exercised
+
+
+def test_rank_unimodular_gives_up_on_a_pivot_that_is_not_a_unit():
+    assert rank_unimodular(sparse([[2]])) is None
+    assert rank_unimodular(sparse([[2, 1], [1, 2]])) is None  # determinant 3: rank 1 over GF(3)
+    assert rank_unimodular(sparse([[-1, 0, 1], [1, 1, -1]])) == 2  # a -1 lead is negated
+    assert rank_unimodular(sparse([[0, 0]])) == 0
+    assert rank_unimodular([]) == 0
