@@ -10,10 +10,10 @@ floating point or Fraction is involved anywhere.
 
 ``rank_unimodular`` eliminates the same integer rows with no gcd and no
 modulus, and gives up (None) at the first pivot that is not +-1.  When it
-does not give up, its rank holds over Q and over every GF(p) at once:
-simplicial boundary matrices almost always reduce this way (Dumas,
-Heckenbach, Saunders and Welker, 2003), so one elimination can stand in
-for a rank per field.  Input rows are never modified.
+does not give up, its rank holds over Q and over every GF(p) at once.
+Simplicial boundary matrices reduce almost entirely with +-1 pivots
+(Dumas, Heckenbach, Saunders and Welker, 2003), so one elimination can
+stand in for a rank per field.  Input rows are never modified.
 """
 
 from __future__ import annotations
@@ -91,18 +91,18 @@ def rank_unimodular(rows: list[dict[int, int]]) -> int | None:
 
     Rows are eliminated as in ``rank_rationals``, on each row's highest
     column, but with no gcd: a row whose lead c meets a pivot row (lead 1)
-    subtracts c times it.  A new pivot whose lead is -1 is negated.  The first new pivot whose
-    lead is not +-1 ends the elimination with None.
+    subtracts c times it.  A new pivot whose lead is -1 is negated.  The
+    first new pivot whose lead is not +-1 ends the elimination with None.
 
     Why the count holds over every field: each step adds an integer
     multiple of an earlier row or negates a row, so the steps compose to
-    one lower-triangular integer transform T with diagonal entries +-1.
-    det T = +-1, so T stays invertible mod every prime p, and T A has the
-    rank of A over Q and over every GF(p).  The rows of T A are the pivot
-    rows, whose leads are 1 in distinct columns (an echelon form, whose
-    rows stay independent mod p because 1 != 0 mod p), and rows that are
-    zero over the integers, hence zero mod every p.  So the number of
-    pivots is the rank over Q and over every GF(p).
+    one unit lower-triangular integer transform T (its diagonal entries
+    are +-1).  det T = +-1, so T stays invertible mod every prime p, and
+    T A has the rank of A over Q and over every GF(p).  The rows of T A
+    are the pivot rows, whose leads are 1 in distinct columns (an echelon
+    form, whose rows stay independent mod p because 1 != 0 mod p), and
+    rows that are zero over the integers, hence zero mod every p.  So the
+    number of pivots is the rank over Q and over every GF(p).
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> row with lead 1
     for row in rows:

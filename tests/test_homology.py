@@ -280,7 +280,7 @@ def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audi
             verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3,))
     assert private_audit["failures"] == 1
 
-    # a matrix of the projective plane has a pivot 2, so GF(3) ranks it on
+    # a matrix of the projective plane has a pivot -2, so GF(3) ranks it on
     # its own; a rank one too high there leaves a negative dimension
     table = betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
     monkeypatch.setattr(tconnect.homology, "rank_mod_p",
@@ -349,7 +349,7 @@ def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypat
     calls = count_calls(monkeypatch, RANKS)
     table = betti_table_ideal(ideal, GF2)
     over_gf3, over_q = table.over(GF3), table.over(QQ)
-    # the one matrix whose elimination meets a pivot 2 is ranked by each field
+    # the one matrix whose elimination meets a pivot -2 is ranked by each field
     assert table.reduction.certificate_counts() == {"ranked_once": 17, "ranked_per_field": 1}
     assert calls["rank_unimodular"] == 18
     assert calls["rank_mod_p"] == calls["rank_rationals"] == 1
