@@ -209,17 +209,22 @@ def test_verify_cross_field_checks_every_other_field(capsys, field, cross):
 
 
 def test_verify_meta_reports_the_oracle_reduction(capsys):
-    argv = ["verify", "--fixture", "path", "--param", "7", "--t", "3", "--cross-field"]
+    argv = ["verify", "--fixture", "cycle", "--param", "8", "--t", "3", "--cross-field"]
     code, data = run_json(capsys, argv)
     assert code == 0
-    table = betti_table_ideal(t_connected_ideal(fixture("path", 7), 3), GF2)
+    table = betti_table_ideal(t_connected_ideal(fixture("cycle", 8), 3), GF2)
     # GF(3) and Q share one +-1-pivot rank of each nonempty boundary matrix
     boundaries = sum(bool(cx.counts[c] and cx.counts[c - 1])
                      for cx in table.reduction.evaluated for c in range(2, len(cx.counts)))
+    # the relative cells of every evaluated W, before and after the collapse
+    cells = sum(len(cx.faces) for cx in table.reduction.evaluated)
     assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived,
-                                      "joined": table.joined, "ranked_once": boundaries,
-                                      "ranked_per_field": 0}
-    assert table.evaluations and table.derived and table.joined and boundaries
+                                      "joined": table.joined,
+                                      "cells_before_collapse": table.reduction.cells_before_collapse,
+                                      "cells_after_collapse": cells,
+                                      "ranked_once": boundaries, "ranked_per_field": 0}
+    assert (table.evaluations, table.derived, table.joined, boundaries) == (9, 32, 4, 2)
+    assert table.reduction.cells_before_collapse > cells > 0
     code, data = run_json(capsys, argv + ["--no-meta"])
     assert code == 0 and "meta" not in data
 

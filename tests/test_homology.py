@@ -225,13 +225,32 @@ def private_audit(monkeypatch):
     return audit
 
 
+def fig1_prefix():
+    """fig1 induced on vertices 1..12, the largest prefix under the default oracle cap."""
+    return induced_subgraph(fixture("fig1"), range(1, 13))[0]
+
+
 def test_audit_rejects_a_wrong_rank(monkeypatch, private_audit):
     # The Euler audit cannot see this fault: rank terms cancel in the
-    # alternating sum.  Unchecked it yields beta_{1,3} = 8 for 4 generators.
+    # alternating sum.  Nor can the first syzygies: after the collapse the
+    # top cell W - v meets no cell below it, so no top matrix is ranked.
+    # A dense elimination over GF(2) ranks each matrix again.
     rank_gf2 = tconnect.homology.rank_gf2
     monkeypatch.setattr(tconnect.homology, "rank_gf2", lambda rows: max(rank_gf2(rows) - 1, 0))
+    with pytest.raises(HomologyAuditError, match=r"over GF\(2\) .* a dense elimination gives"):
+        betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
+    assert private_audit["failures"] == 1
+
+
+def test_audit_rejects_first_syzygies_moved_two_degrees(monkeypatch, private_audit):
+    # homology moved down two degrees keeps every Euler characteristic; a
+    # generator W then has no homology in degree |W| - 2, and beta_1 misses it
+    dims = tconnect.homology._homology_dims
+    monkeypatch.setattr(tconnect.homology, "_homology_dims",
+                        lambda cx, fld, red: dims(cx, fld, red)[2:] + [0, 0])
     with pytest.raises(HomologyAuditError, match="beta_1"):
         betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert private_audit["failures"] == 1
 
 
 def test_audit_rejects_a_lost_face_or_top_homology(monkeypatch, private_audit):
@@ -277,11 +296,11 @@ def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audi
         m.setattr(tconnect.homology, "rank_unimodular",
                   off_by_one(tconnect.homology.rank_unimodular))
         with pytest.raises(HomologyAuditError, match=r"W=\(.*\) has boundary rank \d+ over GF\(2\)"):
-            verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3,))
+            verify_graph(fig1_prefix(), 2, GF2, cross_fields=(GF3,))
     assert private_audit["failures"] == 1
 
     # a matrix of the projective plane has a pivot -2, so GF(3) ranks it on
-    # its own; a rank one too high there leaves a negative dimension
+    # its own; a dense elimination over GF(3) rejects a rank one too high
     table = betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
     monkeypatch.setattr(tconnect.homology, "rank_mod_p",
                         off_by_one(tconnect.homology.rank_mod_p, +1))
@@ -291,17 +310,17 @@ def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audi
 
 
 def test_audit_rejects_a_wrong_certified_rank_over_one_field(monkeypatch, private_audit):
-    # no GF(2) rank to compare with: the first syzygies reject it
+    # no GF(2) table came first: the GF(2) rank computed for the audit rejects it
     monkeypatch.setattr(tconnect.homology, "rank_unimodular",
                         off_by_one(tconnect.homology.rank_unimodular))
-    with pytest.raises(HomologyAuditError, match="beta_1"):
-        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF3)
+    with pytest.raises(HomologyAuditError, match="certify rank"):
+        betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF3)
     assert private_audit["failures"] == 1
 
 
 def test_audit_rejects_a_wrong_gf2_rank_after_a_certified_one(monkeypatch, private_audit):
     # GF(3) ranks first, as under verify --field gf3 --cross-field
-    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF3)
+    table = betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF3)
     monkeypatch.setattr(tconnect.homology, "rank_gf2", off_by_one(tconnect.homology.rank_gf2))
     with pytest.raises(HomologyAuditError, match="certify rank"):
         table.over(GF2)
@@ -330,18 +349,30 @@ RANKS = ("rank_gf2", "rank_unimodular", "rank_mod_p", "rank_rationals")
 
 
 def test_cross_field_verify_collapses_once_and_ranks_per_field(monkeypatch):
-    table = betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    table = betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
     evaluations, boundaries = table.evaluations, nonempty_boundaries(table)
     calls = count_calls(monkeypatch, ("_collapse",) + RANKS)
-    report = verify_graph(fixture("path", 6), 3, GF2, cross_fields=(GF3, QQ))
+    report = verify_graph(fig1_prefix(), 2, GF2, cross_fields=(GF3, QQ))
     assert {v.statement: v.status for v in report.verdicts}["field_independence"] == "pass"
     assert evaluations and calls["_collapse"] == evaluations
-    assert calls["rank_gf2"] == boundaries
+    assert (evaluations, boundaries) == (44, 13) and calls["rank_gf2"] == boundaries
     # one +-1-pivot elimination per matrix serves GF(3) and Q together
-    assert boundaries and calls["rank_unimodular"] == boundaries
+    assert calls["rank_unimodular"] == boundaries
     assert calls["rank_mod_p"] == calls["rank_rationals"] == 0
     assert report.oracle_counts["ranked_once"] == boundaries
     assert report.oracle_counts["ranked_per_field"] == 0
+
+
+def test_audit_rejects_a_low_rank_on_a_fallback_matrix(monkeypatch, private_audit):
+    # one less on the projective plane's -2-pivot matrix would give GF(3)
+    # the GF(2) table: the Euler audits cancel it and beta_1 cannot see it
+    table = betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
+    monkeypatch.setattr(tconnect.homology, "rank_mod_p", off_by_one(tconnect.homology.rank_mod_p))
+    with pytest.raises(HomologyAuditError,
+                       match=r"W=\(1, 2, 3, 4, 5, 6\) has boundary rank 4 over GF\(3\) in degree 2, "
+                             "but a dense elimination gives 5"):
+        table.over(GF3)
+    assert private_audit["failures"] == 1
 
 
 def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypatch):
@@ -349,9 +380,10 @@ def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypat
     calls = count_calls(monkeypatch, RANKS)
     table = betti_table_ideal(ideal, GF2)
     over_gf3, over_q = table.over(GF3), table.over(QQ)
-    # the one matrix whose elimination meets a pivot -2 is ranked by each field
-    assert table.reduction.certificate_counts() == {"ranked_once": 17, "ranked_per_field": 1}
-    assert calls["rank_unimodular"] == 18
+    # the one matrix left, from 3-cells to 2-cells of W = [1..6], meets a
+    # pivot -2 and is ranked by each field
+    assert table.reduction.certificate_counts() == {"ranked_once": 0, "ranked_per_field": 1}
+    assert calls["rank_unimodular"] == 1
     assert calls["rank_mod_p"] == calls["rank_rationals"] == 1
     assert over_gf3.entries == over_q.entries == brute_betti_table(gens_vertices(ideal), 6, None)
     assert table.entries == brute_betti_table(gens_vertices(ideal), 6, 2) != over_q.entries
@@ -359,8 +391,8 @@ def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypat
 
 def test_gf2_only_tables_run_no_certificate(monkeypatch):
     calls = count_calls(monkeypatch, RANKS)
-    report = verify_graph(fixture("path", 6), 3, GF2)
-    assert calls["rank_gf2"] and calls["rank_unimodular"] == 0
+    report = verify_graph(fig1_prefix(), 2, GF2)
+    assert calls["rank_gf2"] == 13 and calls["rank_unimodular"] == 0
     assert report.oracle_counts["ranked_once"] == report.oracle_counts["ranked_per_field"] == 0
 
 
@@ -427,28 +459,73 @@ def test_derived_homology_is_taken_over_the_same_field():
 
 
 def test_fig1_reduction_counts():
-    # (evaluations, derived, joined) of fig1 on vertices 1..12 at t = 2..5
-    fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 13))
+    # (evaluations, derived, joined) of fig1 on vertices 1..12 at t = 2..5,
+    # and the relative cells of the evaluated W before and after the collapse
     want = {2: (44, 1275, 242), 3: (118, 469, 188), 4: (173, 253, 45), 5: (218, 146, 4)}
-    got = {t: reduction_counts(betti_table_ideal(t_connected_ideal(fig1_prefix, t), GF2))
-           for t in want}
-    assert got == want
+    cells = {2: (134, 122), 3: (618, 380), 4: (1093, 529), 5: (1608, 618)}
+    tables = {t: betti_table_ideal(t_connected_ideal(fig1_prefix(), t), GF2) for t in want}
+    assert {t: reduction_counts(table) for t, table in tables.items()} == want
+    red = {t: table.reduction for t, table in tables.items()}
+    assert {t: (r.cells_before_collapse, r.cells_after_collapse) for t, r in red.items()} == cells
+    assert all(r.cells_after_collapse == sum(len(cx.faces) for cx in r.evaluated)
+               for r in red.values())
 
 
 def test_fig1_boundaries_rank_once_for_every_field(monkeypatch):
     # every nonempty boundary matrix of fig1 on vertices 1..12 at t = 2..5
     # reduces with +-1 pivots, so no field ranks one on its own
-    fig1_prefix, _ = induced_subgraph(fixture("fig1"), range(1, 13))
     calls = count_calls(monkeypatch, ("rank_mod_p", "rank_rationals"))
     once = {}
     for t in (2, 3, 4, 5):
-        table = betti_table_ideal(t_connected_ideal(fig1_prefix, t), GF2)
+        table = betti_table_ideal(t_connected_ideal(fig1_prefix(), t), GF2)
         table.over(GF3)
         table.over(QQ)
         counts = table.reduction.certificate_counts()
         assert counts["ranked_per_field"] == 0
         once[t] = counts["ranked_once"]
-    assert once == {2: 13, 3: 148, 4: 348, 5: 607} and not calls
+    assert once == {2: 13, 3: 30, 4: 18, 5: 4} and not calls
+
+
+def empty_cells(monkeypatch):
+    """Record each evaluated W's count of empty cells (0 or 1) as the collapse receives them."""
+    seen = []
+    collapse = tconnect.homology._collapse
+
+    def recording(cards, wbits):
+        seen.append(len(cards[0]))
+        return collapse(cards, wbits)
+
+    monkeypatch.setattr(tconnect.homology, "_collapse", recording)
+    return seen
+
+
+def test_relative_complex_matches_reference(monkeypatch):
+    # each evaluated W keeps only the faces outside the star of its lowest
+    # vertex v; when {v} is a generator the star is void and the empty face
+    # stays a cell (W = {v}, the only such W that is not joined)
+    seen = empty_cells(monkeypatch)
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        v = rng.randint(1, n)
+        gens = gens_vertices(random_antichain_ideal(rng, n, max_gens=5))
+        assert_matches_reference(SquareFreeIdeal.make(n, [g for g in gens if v not in g] + [(v,)]))
+    assert 1 in seen and 0 in seen
+    # torsion through the restricted signed rows: the projective plane, alone
+    # and joined with a singleton
+    assert_matches_reference(SquareFreeIdeal.make(6, RP2_NON_FACES))
+    assert_matches_reference(SquareFreeIdeal.make(7, [*RP2_NON_FACES, (7,)]))
+
+
+def test_audit_rejects_a_star_face_kept_as_a_cell(monkeypatch, private_audit):
+    # the empty face lies in the star of v whenever {v} is a face; kept as a
+    # cell it moves the alternating count off the Euler characteristic
+    collapse = tconnect.homology._collapse
+    monkeypatch.setattr(tconnect.homology, "_collapse",
+                        lambda cards, wbits: collapse([cards[0] or [0], *cards[1:]], wbits))
+    with pytest.raises(HomologyAuditError, match="audit failed: faces"):
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert private_audit["failures"] == 1
 
 
 # -- derived invariants ----------------------------------------------------------
