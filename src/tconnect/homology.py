@@ -20,11 +20,14 @@ link are contractible, so the restriction to W has the homology of the
 restriction to W - v, degree by degree: its beta moves from (i, j - 1) to
 (i + 1, j) with no evaluation.  The link of v restricted to W - v is the
 complex of the colon ideal (I : x_v), so the cone test is the one above,
-on the ``covered`` table of (I : x_v) over the subsets avoiding v.  These
-colon tables are built one vertex at a time, and ``via[W]`` records v + 1
-for the first vertex whose link is a cone (0 for none).  W is walked in
-ascending order, so W - v is always done before W.  The memory of every
-table is estimated against physical memory before any is allocated.
+on the ``covered`` table of (I : x_v) over the subsets avoiding v.  The
+non-cone W are listed once, in ascending order.  The colon tables are
+built one vertex at a time, in ascending order, and each tests only the
+listed W that hold its vertex and have no cone link yet; ``via[W]``
+records v + 1 for the first vertex whose link is a cone (0 for none).
+The list is then walked in order, so W - v is always done before W.  The
+memory of every table and list is estimated against physical memory
+before any is allocated.
 
 A non-cone W with no cone link is joined when the generators inside it
 fall into two or more components (two generators meet when they share a
@@ -66,31 +69,37 @@ integer that holds n bits, each size in ascending order) form a
 ``HochsterReduction``, built once per ideal; only the boundary ranks and
 the convolutions depend on the field.  ``betti_table_ideal`` ranks the
 reduction over one field, and ``BettiTable.over`` ranks the same
-reduction over another.  GF(2) ranks every boundary matrix on its own.
+reduction over another.  The convolutions of the linked W, their audits
+and the sum of the table depend only on the evaluated W's dimensions, so
+the reduction keeps each such fold under the dimensions that made it, and
+a field whose evaluated W have the same dimensions takes a copy of its
+entries.  GF(2) ranks every boundary matrix on its own.
 The first other field to need a matrix eliminates its integer rows once
 with +-1 pivots (``linalg.rank_unimodular``); when every pivot is +-1
 that rank holds over every field, and the reduction keeps it for all of
 them.  Only a matrix that meets another pivot (the projective plane has
 one) is ranked again over each field by itself.
 
-Every W in the sum is audited over every field.  Its alternating
-homology sum must equal chi[W], the reduced Euler characteristic from
-the Euler table: the zeta transform (subset sums) of the signed face
-indicator, built once.  The star of v has reduced Euler characteristic
-0, so the alternating count of the relative cells is chi[W] too.  No
-dimension may be negative.  For an evaluated W this checks its cells and
-their collapse; for a linked W, the convolution of its parts.  A wrong
-derivation changes the Euler characteristic by that of the link, so it
-fails the audit whenever the link's is nonzero.  The first syzygies are
-audited once per table: beta_{1,j} must equal the number of generators
-of degree j.  Neither audit sees the ranks (the rank terms cancel in the
-alternating sum, and after the collapse the top cell W - v, where it is
-left, meets no cell below it, so no top matrix is ranked), so every rank
-is checked by a second route over its field.  A rank certified over every field and the GF(2) rank of the
-same matrix must agree (a certificate made with no GF(2) rank known has
-one computed for it).  A GF(2) rank made before any certificate, and a
-rank of a matrix that fell back, must equal a dense elimination over
-its field.
+Every W in the sum is audited: an evaluated W over every field, a linked
+W once per fold (a second field with the same evaluated dimensions would
+audit identical inputs).  Its alternating homology sum must equal chi[W],
+the reduced Euler characteristic from the Euler table: the zeta
+transform (subset sums) of the signed face indicator, built once.  The
+star of v has reduced Euler characteristic 0, so the alternating count
+of the relative cells is chi[W] too.  No dimension may be negative.  For
+an evaluated W this checks its cells and their collapse; for a linked W,
+the convolution of its parts.  A wrong derivation changes the Euler
+characteristic by that of the link, so it fails the audit whenever the
+link's is nonzero.  The first syzygies are audited once per table:
+beta_{1,j} must equal the number of generators of degree j.  Neither
+audit sees the ranks (the rank terms cancel in the alternating sum, and
+after the collapse the top cell W - v, where it is left, meets no cell
+below it, so no top matrix is ranked), so every rank is checked by a
+second route over its field.  A rank certified over every field and the
+GF(2) rank of the same matrix must agree (a certificate made with no
+GF(2) rank known has one computed for it).  A GF(2) rank made before any
+certificate, and a rank of a matrix that fell back, must equal a dense
+elimination over its field.
 
 All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
 elimination; the other rows are sparse dicts {lower cell index: +-1},
@@ -255,7 +264,7 @@ def _components(w: int, gens: tuple[int, ...]) -> list[int]:
 
 def _euler(counts) -> int:
     """Alternating sum of face counts or homology dimensions indexed from degree -1."""
-    return sum(x if c % 2 else -x for c, x in enumerate(counts))
+    return sum(counts[1::2]) - sum(counts[::2])
 
 
 class _Collapsed(NamedTuple):
@@ -398,7 +407,7 @@ def _homology_dims(cx: _Collapsed, fld: Field, red: HochsterReduction) -> list[i
 def _audit_euler(dims: list[int], chi: int, w: int, fld: Field, what: str) -> None:
     """W's dimensions must be non-negative, with the Euler characteristic its faces give."""
     _AUDIT["checks"] += 1
-    if _euler(dims) != chi or any(d < 0 for d in dims):
+    if _euler(dims) != chi or min(dims, default=0) < 0:
         _AUDIT["failures"] += 1
         raise HomologyAuditError(
             f"audit failed: faces of W={vertices_of(w)} give Euler characteristic {chi}, "
@@ -482,12 +491,14 @@ def _physical_memory() -> int | None:
 def _check_table_memory(n: int) -> None:
     """Refuse the oracle's subset tables when they do not fit in physical memory.
 
-    Counted per subset: ``covered`` and the Euler table (a list slot plus
-    one int object each), one byte of ``via``, half an entry of the one
-    colon table alive at a time, and the list slots a fold's slices copy
-    (at most one and a half).
+    Counted per subset, in the worst case where every W is a non-cone:
+    ``covered``, the Euler table and the list of non-cone W (a list slot
+    plus one int object each), one byte of ``via``, the slots of the
+    pending and rebuilt lists of the cone-link marking, half an entry of
+    the one colon table alive at a time, and the list slots a fold's
+    slices copy (at most one and a half).
     """
-    need = (2 * (8 + 32) + 1 + (8 + 32) // 2 + 12) << n
+    need = (3 * (8 + 32) + 1 + 2 * 8 + (8 + 32) // 2 + 12) << n
     have = _physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
@@ -551,19 +562,34 @@ def _colon_covered(ideal: SquareFreeIdeal, b: int) -> list[int] | None:
     return _covered_table(squeezed, ideal.n - 1)
 
 
-def _mark_cone_links(via: bytearray, covered: list[int], cov_v: list[int], b: int) -> None:
-    """Set via[W] = b + 1 on each unmarked non-cone W whose link of bit b is a cone.
+def _cone_links(ideal: SquareFreeIdeal, non_cones: list[int]) -> bytearray:
+    """via[W] = v + 1 for the first vertex v whose link in the restriction to W is a cone.
 
     The link of v in the restriction to W is the complex of (I : x_v)
-    restricted to W - v, so it is a cone iff cov_v[W - v] != W - v.
+    restricted to W - v, so it is a cone iff cov_v[W - v] != W - v.  Each
+    vertex, in ascending order, tests only the non-cone W (ascending) that
+    hold it and are still unmarked, then drops those it marked; one colon
+    table is alive at a time.
     """
-    bit_b = 1 << b
-    low = bit_b - 1
-    for s in range(len(cov_v)):
-        if cov_v[s] != s:
-            w = (s & low) | (s & ~low) << 1 | bit_b
-            if not via[w] and covered[w] == w:
-                via[w] = b + 1
+    via = bytearray(1 << ideal.n)
+    pending = non_cones
+    for b in range(ideal.n):
+        cov_v = _colon_covered(ideal, b)
+        if cov_v is None:
+            continue
+        bit_b = 1 << b
+        low = bit_b - 1
+        rest = []
+        for w in pending:
+            if w & bit_b:
+                s = (w & low) | (w >> 1 & ~low)  # W - v with bit b squeezed out
+                if cov_v[s] != s:
+                    via[w] = b + 1
+                    continue
+            rest.append(w)
+        pending = rest
+        del cov_v
+    return via
 
 
 class HochsterReduction:
@@ -573,7 +599,9 @@ class HochsterReduction:
     number k of parts, the parts (one flat array for all linked W) and its
     Euler characteristic: one part W - v for a cone link of v, or its
     k >= 2 components for a join.  Both lists are in ascending order of W.
-    ``betti_table`` ranks the complexes over one field.
+    ``betti_table`` ranks the complexes over one field.  ``folds`` maps the
+    evaluated W's dimensions (a tuple per W, in their order) to the
+    entries of the table they give.
 
     ``certified`` maps (W, c), the boundary of W's c-faces, to its rank
     from a +-1-pivot elimination, which holds over every field, or to None
@@ -593,6 +621,7 @@ class HochsterReduction:
         self.linked_chi = array("q")
         self.certified: dict[tuple[int, int], int | None] = {}
         self.gf2_ranks: dict[tuple[int, int], int] = {}
+        self.folds: dict[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]] = {}
         self.cells_before_collapse = 0  # relative cells of every evaluated W, summed
         self.cells_after_collapse = 0
 
@@ -638,14 +667,27 @@ class HochsterReduction:
         return {"ranked_once": len(self.certified) - failed, "ranked_per_field": failed}
 
     def betti_table(self, fld: Field) -> BettiTable:
-        """Rank every evaluated W over fld, join and audit every W, and sum the table."""
-        table = BettiTable(self.ideal.n, fld, self, {(0, 0): 1})
-        entries = table.entries
-        dims_of: dict[int, list[int]] = {}  # non-cone W -> its dimensions over fld
-        for cx in self.evaluated:
-            dims = _homology_dims(cx, fld, self)
-            dims_of[cx.w] = dims
-            _add_homology(entries, cx.w, dims)
+        """Rank and audit every evaluated W over fld, fold the linked W, and sum the table.
+
+        The fold (each linked W's parts convolved, its Euler characteristic
+        audited, the entries added) depends only on the evaluated W's
+        dimensions, so a field that gives the same dimensions as an earlier
+        one takes a copy of that fold's entries.
+        """
+        dims_of = {cx.w: _homology_dims(cx, fld, self) for cx in self.evaluated}
+        key = tuple(map(tuple, dims_of.values()))
+        entries = self.folds.get(key)
+        if entries is None:
+            entries = self.folds[key] = self._fold(dims_of, fld)
+        table = BettiTable(self.ideal.n, fld, self, dict(entries))
+        _audit_first_syzygies(self.ideal, table)
+        return table
+
+    def _fold(self, dims_of: dict[int, list[int]], fld: Field) -> dict[tuple[int, int], int]:
+        """The table's entries from the evaluated W's dimensions (dims_of, extended in place)."""
+        entries = {(0, 0): 1}
+        for w, dims in dims_of.items():
+            _add_homology(entries, w, dims)
         parts = iter(self.linked_parts)
         for w, k, chi in zip(self.linked_w, self.linked_k, self.linked_chi):
             # every part is below W, so it came first; a missing part is a cone
@@ -653,8 +695,7 @@ class HochsterReduction:
             _audit_euler(dims, chi, w, fld, "derived dimensions" if k == 1 else "joined dimensions")
             dims_of[w] = dims
             _add_homology(entries, w, dims)
-        _audit_first_syzygies(self.ideal, table)
-        return table
+        return entries
 
 
 _DENSE = "a dense elimination gives {}"
@@ -703,21 +744,14 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
         raise ValueError("the unit ideal has no Betti table")
 
     _check_table_memory(n)
-    size = 1 << n
     # a is a face iff covered[a] == 0, and W restricts to a cone iff covered[W] != W
     covered = _covered_table(ideal.gens, n)
     chi = _euler_table(covered)
-    via = bytearray(size)
-    for b in range(n):
-        cov_v = _colon_covered(ideal, b)
-        if cov_v is not None:
-            _mark_cone_links(via, covered, cov_v, b)
-        del cov_v  # one colon table alive at a time
+    non_cones = [w for w in range(1, 1 << n) if covered[w] == w]  # ascending
+    via = _cone_links(ideal, non_cones)
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
-    for w in range(1, size):
-        if covered[w] != w:
-            continue  # some vertex of W lies in no generator inside W: a cone
+    for w in non_cones:
         if via[w]:
             # the link of v is a cone, so the restriction to W is homotopy
             # equivalent to the restriction to W - v: a join of one part

@@ -7,6 +7,7 @@ import pytest
 
 import tconnect.homology
 
+from tconnect.bitset import submasks
 from tconnect.graphs import fixture, induced_subgraph, random_chordal
 from tconnect.harness import verify_graph
 from tconnect.homology import (
@@ -188,14 +189,15 @@ def test_betti_cap_env_override(monkeypatch):
 
 
 def test_betti_table_memory_checked_before_allocation(monkeypatch):
-    # 2^13 subsets of 113 bytes (covered and Euler tables 40 each, via 1,
-    # half a colon table 20, fold slices 12) need 904 KiB; claim 896 KiB
+    # 2^13 subsets of 169 bytes (covered, Euler table and non-cone list 40
+    # each, via 1, pending and rebuilt lists 8 each, half a colon table 20,
+    # fold slices 12) need 1352 KiB; claim 1344 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 896 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1344 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
         betti_table_ideal(ideal, GF2)
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1352 << 10)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
@@ -458,6 +460,36 @@ def test_derived_homology_is_taken_over_the_same_field():
     assert (5, 7) in table.entries and (5, 7) not in table.over(QQ).entries
 
 
+def first_cone_link(gens, w):
+    """The lowest vertex bit v of W whose link in the restriction to W is a
+    cone (some u of W - v joins every face of the link), by listing faces."""
+    def face(f):
+        return not any(g & f == g for g in gens)
+
+    for v in (1 << i for i in range(w.bit_length()) if w >> i & 1):
+        if face(v):
+            link = [f for f in submasks(w ^ v) if face(f | v)]
+            if any(all(face(f | u | v) for f in link)
+                   for u in (1 << i for i in range(w.bit_length()) if (w ^ v) >> i & 1)):
+                return v
+    return None
+
+
+def test_derived_w_take_the_lowest_vertex_with_a_cone_link():
+    rng = random.Random(29)
+    derived = 0
+    for _ in range(40):
+        ideal = random_antichain_ideal(rng, rng.randint(2, 6), max_gens=5)
+        red = betti_table_ideal(ideal, GF2).reduction
+        parts = iter(red.linked_parts)
+        linked = {w: [next(parts) for _ in range(k)] for w, k in zip(red.linked_w, red.linked_k)}
+        for w in [*linked, *(cx.w for cx in red.evaluated)]:
+            v = first_cone_link(ideal.gens, w)
+            assert (linked.get(w) == [w ^ v]) if v else len(linked.get(w, ())) != 1
+            derived += v is not None
+    assert derived
+
+
 def test_fig1_reduction_counts():
     # (evaluations, derived, joined) of fig1 on vertices 1..12 at t = 2..5,
     # and the relative cells of the evaluated W before and after the collapse
@@ -515,6 +547,43 @@ def test_relative_complex_matches_reference(monkeypatch):
     # and joined with a singleton
     assert_matches_reference(SquareFreeIdeal.make(6, RP2_NON_FACES))
     assert_matches_reference(SquareFreeIdeal.make(7, [*RP2_NON_FACES, (7,)]))
+
+
+def test_fields_with_the_same_dimensions_share_one_fold(monkeypatch):
+    # every boundary matrix of fig1 on vertices 1..12 is certified, so GF(3)
+    # and Q give the evaluated W the GF(2) dimensions and copy the GF(2) fold
+    table = betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
+    assert table.joined
+    calls = count_calls(monkeypatch, ("_join",))
+    moved = [table.over(GF3), table.over(QQ)]
+    assert not calls and len(table.reduction.folds) == 1
+    assert all(m.entries == table.entries for m in moved)
+    # each table owns its entries: mutating one leaves the rest and the next over alone
+    want = dict(table.entries)
+    table.entries[(1, 2)] += 1
+    moved[0].entries.clear()
+    assert moved[1].entries == want and table.over(GF3).entries == want
+    assert table.entries != want and not calls
+
+
+def test_fresh_and_moved_tables_match_reference_over_every_field():
+    # a table over each field, built afresh and moved there from GF(2),
+    # against the brute Hochster sum; the projective plane's ideals fold
+    # twice (GF(2), then GF(3) and Q), the others once for all three fields
+    rng = random.Random(71)
+    ideals = [random_antichain_ideal(rng, rng.randint(1, 8), max_gens=6) for _ in range(100)]
+    rp2 = [SquareFreeIdeal.make(6, RP2_NON_FACES),
+           SquareFreeIdeal.make(7, [*RP2_NON_FACES, (7,)]),
+           SquareFreeIdeal.make(8, [*RP2_NON_FACES, (7, 8)]),
+           SquareFreeIdeal.make(7, [*RP2_NON_FACES, *((b, 7) for b in range(2, 7))])]
+    folds = Counter()
+    for ideal in ideals + rp2:
+        gf2 = betti_table_ideal(ideal, GF2)
+        for fld in (GF2, GF3, QQ):
+            want = brute_betti_table(gens_vertices(ideal), ideal.n, fld.p)
+            assert betti_table_ideal(ideal, fld).entries == gf2.over(fld).entries == want
+        folds[len(gf2.reduction.folds)] += 1
+    assert folds[1] >= 100 and folds[2] == len(rp2)
 
 
 def test_audit_rejects_a_star_face_kept_as_a_cell(monkeypatch, private_audit):
