@@ -20,14 +20,14 @@ link are contractible, so the restriction to W has the homology of the
 restriction to W - v, degree by degree: its beta moves from (i, j - 1) to
 (i + 1, j) with no evaluation.  The link of v restricted to W - v is the
 complex of the colon ideal (I : x_v), so the cone test is the one above,
-on the ``covered`` table of (I : x_v) over the subsets avoiding v.  The
-non-cone W are listed once, in ascending order.  The colon tables are
-built one vertex at a time, in ascending order, and each tests only the
-listed W that hold its vertex and have no cone link yet; ``via[W]``
-records v + 1 for the first vertex whose link is a cone (0 for none).
-The list is then walked in order, so W - v is always done before W.  The
-memory of every table and list is estimated against physical memory
-before any is allocated.
+made on the colon's generators: the link is a cone iff those inside
+W - v do not cover W - v.  The colons are built once, one per vertex.
+Only the non-cone W are tested (the lcm lattice of I: Gasharov, Peeva
+and Welker, Math. Res. Lett. 1999), each for its vertices in ascending
+order, and W takes the first vertex whose link is a cone.  The non-cone
+W are listed once and walked in ascending order, so W - v is always done
+before W.  The memory of every table and list is estimated against
+physical memory before any is allocated.
 
 A non-cone W with no cone link is joined when the generators inside it
 fall into two or more components (two generators meet when they share a
@@ -493,12 +493,10 @@ def _check_table_memory(n: int) -> None:
 
     Counted per subset, in the worst case where every W is a non-cone:
     ``covered``, the Euler table and the list of non-cone W (a list slot
-    plus one int object each), one byte of ``via``, the slots of the
-    pending and rebuilt lists of the cone-link marking, half an entry of
-    the one colon table alive at a time, and the list slots a fold's
-    slices copy (at most one and a half).
+    plus one int object each), and the list slots a fold's slices copy
+    (at most one and a half).
     """
-    need = (3 * (8 + 32) + 1 + 2 * 8 + (8 + 32) // 2 + 12) << n
+    need = (3 * (8 + 32) + 12) << n
     have = _physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
@@ -547,49 +545,25 @@ def _euler_table(covered: list[int]) -> list[int]:
     return _zeta(chi, add)
 
 
-def _colon_covered(ideal: SquareFreeIdeal, b: int) -> list[int] | None:
-    """The ``covered`` table of (I : x_v), v the vertex of bit b.
-
-    It spans the 2^(n-1) subsets that avoid v, each indexed by its mask
-    with bit b squeezed out.  None when {v} is a generator: v is then no
-    vertex of the complex and has no link.
-    """
-    bit_b = 1 << b
-    if bit_b in ideal.gens:
-        return None
-    low = bit_b - 1
-    squeezed = ((g & low) | (g >> 1 & ~low) for g in ideal.colon(bit_b).gens)
-    return _covered_table(squeezed, ideal.n - 1)
-
-
-def _cone_links(ideal: SquareFreeIdeal, non_cones: list[int]) -> bytearray:
-    """via[W] = v + 1 for the first vertex v whose link in the restriction to W is a cone.
+def _cone_link(w: int, colons: list[tuple[int, ...] | None]) -> int:
+    """The bit of the lowest vertex v of W whose link in the restriction to W is a cone, or 0.
 
     The link of v in the restriction to W is the complex of (I : x_v)
-    restricted to W - v, so it is a cone iff cov_v[W - v] != W - v.  Each
-    vertex, in ascending order, tests only the non-cone W (ascending) that
-    hold it and are still unmarked, then drops those it marked; one colon
-    table is alive at a time.
+    restricted to W - v, so it is a cone iff the generators of the colon
+    inside W - v do not cover W - v.  ``colons[b]`` holds the generators of
+    (I : x_v) for v the vertex of bit b, or None when {v} is a generator:
+    v is then no vertex of the complex and has no link.
     """
-    via = bytearray(1 << ideal.n)
-    pending = non_cones
-    for b in range(ideal.n):
-        cov_v = _colon_covered(ideal, b)
-        if cov_v is None:
-            continue
-        bit_b = 1 << b
-        low = bit_b - 1
-        rest = []
-        for w in pending:
-            if w & bit_b:
-                s = (w & low) | (w >> 1 & ~low)  # W - v with bit b squeezed out
-                if cov_v[s] != s:
-                    via[w] = b + 1
-                    continue
-            rest.append(w)
-        pending = rest
-        del cov_v
-    return via
+    rest = w
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        gens = colons[v.bit_length() - 1]
+        if gens is not None:
+            s = w ^ v
+            if reduce(or_, (g for g in gens if not g & ~s), 0) != s:
+                return v
+    return 0
 
 
 class HochsterReduction:
@@ -727,8 +701,10 @@ def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) 
 def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
     """Scan every W once: skip cones, link W with a cone link or split generators.
 
-    Each other W is evaluated relative to the star of its lowest vertex,
-    and its relative cells are collapsed.
+    The cone links are tested on the generators of the colons (I : x_v),
+    built once for the ideal, and only at the non-cone W.  Each other W is
+    evaluated relative to the star of its lowest vertex, and its relative
+    cells are collapsed.
     """
     n = ideal.n
     cap = oracle_cap()
@@ -748,19 +724,20 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
     covered = _covered_table(ideal.gens, n)
     chi = _euler_table(covered)
     non_cones = [w for w in range(1, 1 << n) if covered[w] == w]  # ascending
-    via = _cone_links(ideal, non_cones)
+    colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
     for w in non_cones:
-        if via[w]:
+        link = _cone_link(w, colons)
+        if link:
             # the link of v is a cone, so the restriction to W is homotopy
             # equivalent to the restriction to W - v: a join of one part
-            parts = [w ^ (1 << via[w] - 1)]
+            parts = [w ^ link]
         else:
             # the restriction to W is the join of the restrictions to the
             # components of its generators, each a non-cone below W
             parts = _components(w, ideal.gens)
-        if via[w] or len(parts) > 1:
+        if link or len(parts) > 1:
             red.linked_w.append(w)
             red.linked_k.append(len(parts))
             red.linked_parts.extend(parts)

@@ -189,15 +189,14 @@ def test_betti_cap_env_override(monkeypatch):
 
 
 def test_betti_table_memory_checked_before_allocation(monkeypatch):
-    # 2^13 subsets of 169 bytes (covered, Euler table and non-cone list 40
-    # each, via 1, pending and rebuilt lists 8 each, half a colon table 20,
-    # fold slices 12) need 1352 KiB; claim 1344 KiB
+    # 2^13 subsets of 132 bytes (covered, Euler table and non-cone list 40
+    # each, fold slices 12) need 1056 KiB; claim 1048 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1344 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1048 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
         betti_table_ideal(ideal, GF2)
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1352 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1056 << 10)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
@@ -402,8 +401,7 @@ def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):
     # every link reported a cone: each non-cone W would copy the homology of
     # W minus its lowest vertex; a generator W = {1, 2, 3} has Euler
     # characteristic -1, but {2, 3} has no homology
-    monkeypatch.setattr(tconnect.homology, "_colon_covered",
-                        lambda ideal, b: [-1] * (1 << ideal.n - 1))
+    monkeypatch.setattr(tconnect.homology, "_cone_link", lambda w, colons: w & -w)
     with pytest.raises(HomologyAuditError, match="derived dimensions"):
         betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
     assert private_audit["failures"] == 1
@@ -501,6 +499,18 @@ def test_fig1_reduction_counts():
     assert {t: (r.cells_before_collapse, r.cells_after_collapse) for t, r in red.items()} == cells
     assert all(r.cells_after_collapse == sum(len(cx.faces) for cx in r.evaluated)
                for r in red.values())
+
+
+def test_oracle_verifies_chordal_graphs_on_20_vertices(monkeypatch):
+    # no other test runs the oracle above 14 vertices
+    monkeypatch.setenv("SR_MAX_ORACLE_N", "20")
+    want = {(2, 3): (55, 291, 12), (0, 2): (86, 10912, 453)}
+    for (k, t), counts in want.items():
+        report = verify_graph(random_chordal(20, k, 4), t)
+        assert report.predictions.is_chordal and not report.oracle_skipped
+        assert {v.status for v in report.verdicts} == {"pass"}, report.verdicts
+        oracle = report.oracle_counts
+        assert (oracle["evaluations"], oracle["derived"], oracle["joined"]) == counts
 
 
 def test_fig1_boundaries_rank_once_for_every_field(monkeypatch):
