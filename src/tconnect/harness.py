@@ -206,7 +206,8 @@ def verify_graph(
     return VerificationReport(
         _graph_desc(g, source), t, fields, preds, inv.to_json_dict(), verdicts, False,
         time.perf_counter() - start,
-        {"evaluations": table.evaluations, "derived": table.derived, "joined": table.joined,
+        {"cones": table.cones, "evaluations": table.evaluations, "derived": table.derived,
+         "joined": table.joined,
          "cells_before_collapse": table.reduction.cells_before_collapse,
          "cells_after_collapse": table.reduction.cells_after_collapse,
          **table.reduction.certificate_counts()},

@@ -5,12 +5,19 @@ all j-subsets W of the reduced homology dimension in degree j - i - 1 of
 the restriction to W of the Stanley-Reisner complex of I (the faces are
 the subsets containing no generator).  beta_{0,0} is set to 1 directly.
 
-One 2^n table answers both questions the sum asks of a subset:
-covered[a] is the union of the generators inside a, so a is a face
-exactly when covered[a] == 0.  A subset W with a vertex lying in no
-generator inside W (covered[W] != W) restricts to a cone, so it
-contributes nothing and is skipped without evaluation.  The complex
-{empty set} has one-dimensional homology in degree -1.
+The sum asks three questions of every subset: is it a face, is it a
+cone, and is the link of one of its vertices a cone?  All three are one
+covering test, answered for all 2^n subsets at once on sets of subsets
+held as 2^n-bit integers (bit a for subset a).  The subsets that hold a
+generator are the up-closure of the generators: bit by bit, every set
+without bit c brings in itself plus c, a shift by 2^c.  The rest are the
+faces, kept as one byte per subset.  A subset W with a vertex u lying in
+no generator inside W restricts to a cone (u joins every face), so it
+contributes nothing and is skipped without evaluation.  Vertex by
+vertex, the W that hold u and no generator through u are those outside
+the up-closure of the generators through u; their union is the set of
+cones, and the rest are the non-cone W, listed once in ascending order.
+The complex {empty set} has one-dimensional homology in degree -1.
 
 A non-cone W is then reduced by a strong collapse (Barmak and Minian's
 dominated vertices) where it can be.  The restriction to W is the union
@@ -20,13 +27,12 @@ link are contractible, so the restriction to W has the homology of the
 restriction to W - v, degree by degree: its beta moves from (i, j - 1) to
 (i + 1, j) with no evaluation.  The link of v restricted to W - v is the
 complex of the colon ideal (I : x_v), so the cone test is the one above,
-made on the colon's generators: the link is a cone iff those inside
-W - v do not cover W - v.  The colons are built once, one per vertex.
-Only the non-cone W are tested (the lcm lattice of I: Gasharov, Peeva
-and Welker, Math. Res. Lett. 1999), each for its vertices in ascending
-order, and W takes the first vertex whose link is a cone.  The non-cone
-W are listed once and walked in ascending order, so W - v is always done
-before W.  The memory of every table and list is estimated against
+made on the colon's generators for the sets without v, each then moved
+up by v.  The vertices are taken in ascending order and each W keeps the
+first whose link is a cone, in a byte table read at the non-cone W only
+(the lcm lattice of I: Gasharov, Peeva and Welker, Math. Res. Lett.
+1999).  The non-cone W are walked in ascending order, so W - v is always
+done before W.  The memory of every table and list is estimated against
 physical memory before any is allocated.
 
 A non-cone W with no cone link is joined when the generators inside it
@@ -53,8 +59,8 @@ vertex of W.  The star is a cone (or void, when {v} is a generator), so
 its augmented chain complex is acyclic and the reduced homology of the
 restriction to W is that of the pair (restriction, star), in every
 degree and over every field.  The relative chain complex has one cell
-for each face outside the star: each s in W - v with covered[s] == 0 and
-covered[s + v] != 0, one scan of 2^(|W| - 1) subsets.  The empty set is
+for each face outside the star: each s in W - v that is a face while
+s + v is not, one scan of 2^(|W| - 1) subsets.  The empty set is
 a cell exactly when the star is void.  The boundary of a cell is its
 simplicial boundary with the faces in the star left out; the signs still
 alternate over every vertex of the cell.  Free pairs of cells are then
@@ -117,9 +123,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import gcd
-from operator import add, or_
+from operator import add, or_, sub
 from typing import NamedTuple
 
 from .bitset import submasks, vertices_of
@@ -427,6 +433,11 @@ class BettiTable:
     entries: dict[tuple[int, int], int] = dc_field(default_factory=dict)
 
     @property
+    def cones(self) -> int:
+        """W skipped because they restrict to a cone."""
+        return self.reduction.cones
+
+    @property
     def evaluations(self) -> int:
         """W collapsed once for the ideal and ranked over each field."""
         return len(self.reduction.evaluated)
@@ -491,12 +502,14 @@ def _physical_memory() -> int | None:
 def _check_table_memory(n: int) -> None:
     """Refuse the oracle's subset tables when they do not fit in physical memory.
 
-    Counted per subset, in the worst case where every W is a non-cone:
-    ``covered``, the Euler table and the list of non-cone W (a list slot
-    plus one int object each), and the list slots a fold's slices copy
-    (at most one and a half).
+    Counted per subset, in the worst case where every W is a non-cone: the
+    Euler table and the list of non-cone W (a list slot plus one int
+    object each), the list slots a fold's slices copy (at most one and a
+    half), the face and link byte tables and the two halves of the signed
+    face indicator, the strings or integer one byte table is made from,
+    and the 2^n-bit sets: one per vertex and at most 16 more alive at once.
     """
-    need = (3 * (8 + 32) + 12) << n
+    need = ((2 * (8 + 32) + 12 + 4 + 4) << n) + ((n + 16) << n >> 3)
     have = _physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
@@ -527,43 +540,105 @@ def _zeta(table: list[int], op) -> list[int]:
     return table
 
 
-def _covered_table(gens, n: int) -> list[int]:
-    """covered[a] is the union of the generators (bitmasks over n bits) inside a."""
-    covered = [0] * (1 << n)
-    for g in gens:
-        covered[g] = g
-    return _zeta(covered, or_)
+# A set of subsets of n vertices is a 2^n-bit integer with bit a set for
+# each subset a it holds.
 
 
-def _euler_table(covered: list[int]) -> list[int]:
-    """chi[a] is the reduced Euler characteristic of the restriction to a.
+def _subset_sets(n: int) -> tuple[list[int], int]:
+    """lacks[b], the subsets without bit b, and the subsets of odd size, built by doubling.
 
-    The zeta transform of the signed face indicator: a face F counts
-    (-1)^(|F| - 1), so the empty face counts -1.
+    Going from k to k + 1 vertices, each set is copied above itself; the
+    new bit is lacked by the lower half only, and a subset of the upper
+    half is odd exactly when its lower copy is even.
     """
-    chi = [0 if c else a.bit_count() % 2 * 2 - 1 for a, c in enumerate(covered)]
-    return _zeta(chi, add)
+    lacks: list[int] = []
+    full, odd = 1, 0
+    for k in range(n):
+        size = 1 << k
+        lacks = [lack | lack << size for lack in lacks]
+        lacks.append(full)
+        odd |= (full ^ odd) << size
+        full |= full << size
+    return lacks, odd
 
 
-def _cone_link(w: int, colons: list[tuple[int, ...] | None]) -> int:
-    """The bit of the lowest vertex v of W whose link in the restriction to W is a cone, or 0.
+def _indicator(masks, n: int) -> int:
+    """The set holding exactly the given subsets of n vertices."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _up(x: int, lacks: list[int], skip: int = 0) -> int:
+    """The supersets of the subsets in x, adding only bits outside ``skip``.
+
+    For each bit c, every subset without c also brings in itself plus c.
+    """
+    for c, lack in enumerate(lacks):
+        if not skip >> c & 1:
+            x |= (x & lack) << (1 << c)
+    return x
+
+
+def _non_faces(gens, lacks: list[int]) -> int:
+    """The subsets that hold a generator: the up-closure of the generators."""
+    return _up(_indicator(gens, len(lacks)), lacks)
+
+
+def _uncovered(gens, lacks: list[int], skip: int) -> int:
+    """The subsets S with a vertex u, not in ``skip``, that lies in no generator inside S.
+
+    For each u the subsets holding a generator with u are the up-closure
+    of those generators; it adds no bit u (they hold it already) and no
+    bit of ``skip`` (no generator holds one).  A vertex u that is itself a
+    generator lies in one inside every S that holds it.
+    """
+    full = (1 << (1 << len(lacks))) - 1
+    x = _indicator(gens, len(lacks))
+    out = 0
+    for u, lack in enumerate(lacks):
+        ub = 1 << u
+        if not skip & ub and ub not in gens:
+            out |= full ^ (lack | _up(x ^ (x & lack), lacks, skip | ub))
+    return out
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _byte_table(x: int, size: int) -> bytes:
+    """One byte per subset a < size: 1 if x holds a, else 0."""
+    return format(x, f"0{size}b")[::-1].encode().translate(_BITS)
+
+
+def _link_table(colons: list[tuple[int, ...] | None], lacks: list[int]) -> bytes:
+    """links[W] is b + 1 for the bit b of the lowest vertex of W whose link is a cone, or 0.
 
     The link of v in the restriction to W is the complex of (I : x_v)
-    restricted to W - v, so it is a cone iff the generators of the colon
-    inside W - v do not cover W - v.  ``colons[b]`` holds the generators of
-    (I : x_v) for v the vertex of bit b, or None when {v} is a generator:
-    v is then no vertex of the complex and has no link.
+    restricted to W - v, so it is a cone iff W - v is uncovered on the
+    colon's generators: the uncovered S without v, each moved up to
+    S + v.  ``colons[b]`` holds the generators of (I : x_v) for v the
+    vertex of bit b, or None when {v} is a generator: v is then no vertex
+    of the complex and has no link.  The vertices are walked in ascending
+    order, and a W already claimed by a lower vertex keeps it.  The
+    entries are gathered one bit plane at a time.
     """
-    rest = w
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        gens = colons[v.bit_length() - 1]
+    n = len(lacks)
+    claimed = 0
+    planes = [0] * n.bit_length()
+    for b, gens in enumerate(colons):
         if gens is not None:
-            s = w ^ v
-            if reduce(or_, (g for g in gens if not g & ~s), 0) != s:
-                return v
-    return 0
+            mine = (_uncovered(gens, lacks, 1 << b) & lacks[b]) << (1 << b)
+            mine ^= mine & claimed
+            claimed |= mine
+            for k in range(len(planes)):
+                if b + 1 >> k & 1:
+                    planes[k] |= mine
+    links = 0
+    for k, plane in enumerate(planes):
+        links |= int.from_bytes(_byte_table(plane, 1 << n), "little") << k
+    return links.to_bytes(1 << n, "little")
 
 
 class HochsterReduction:
@@ -596,6 +671,7 @@ class HochsterReduction:
         self.certified: dict[tuple[int, int], int | None] = {}
         self.gf2_ranks: dict[tuple[int, int], int] = {}
         self.folds: dict[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]] = {}
+        self.cones = 0  # W skipped because they restrict to a cone
         self.cells_before_collapse = 0  # relative cells of every evaluated W, summed
         self.cells_after_collapse = 0
 
@@ -698,11 +774,52 @@ def _add_homology(entries: dict[tuple[int, int], int], w: int, dims: list[int]) 
             entries[(i, j)] = entries.get((i, j), 0) + d
 
 
+class _SubsetTables(NamedTuple):
+    """What the walk reads of the 2^n subsets."""
+
+    face: bytes  # face[a] is 1 when a is a face, else 0
+    chi: list[int]  # chi[a] is the reduced Euler characteristic of the restriction to a
+    non_cones: list[int]  # the nonempty W that restrict to no cone, ascending
+    links: bytes  # see ``_link_table``
+    cones: int  # the number of W that restrict to a cone
+
+
+def _subset_tables(ideal: SquareFreeIdeal) -> _SubsetTables:
+    """The faces, the cones and the cone links as 2^n-bit sets, then as tables.
+
+    All three come from the same covering test (``_non_faces``,
+    ``_uncovered``, ``_link_table``).  The Euler table is the zeta
+    transform of the signed face indicator: a face F counts
+    (-1)^(|F| - 1), so the empty face counts -1.  Each bit set is
+    dropped once its table is made.
+    """
+    n = ideal.n
+    _check_table_memory(n)
+    size = 1 << n
+    full = (1 << size) - 1
+    lacks, odd = _subset_sets(n)
+    face_set = full ^ _non_faces(ideal.gens, lacks)
+    odd &= face_set
+    face = _byte_table(face_set, size)
+    plus, minus = _byte_table(odd, size), _byte_table(face_set ^ odd, size)
+    del odd, face_set
+    cones = _uncovered(ideal.gens, lacks, 0)
+    count = cones.bit_count()
+    non_cones = list(compress(range(size), _byte_table(full ^ cones ^ 1, size)))
+    del full, cones
+    colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
+    links = _link_table(colons, lacks)
+    del lacks
+    chi = list(map(sub, plus, minus))
+    del plus, minus
+    return _SubsetTables(face, _zeta(chi, add), non_cones, links, count)
+
+
 def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
     """Scan every W once: skip cones, link W with a cone link or split generators.
 
-    The cone links are tested on the generators of the colons (I : x_v),
-    built once for the ideal, and only at the non-cone W.  Each other W is
+    The walk reads the tables of ``_subset_tables`` and visits only the
+    non-cone W.  Each W with neither a cone link nor split generators is
     evaluated relative to the star of its lowest vertex, and its relative
     cells are collapsed.
     """
@@ -719,20 +836,17 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
     if any(g == 0 for g in ideal.gens):
         raise ValueError("the unit ideal has no Betti table")
 
-    _check_table_memory(n)
-    # a is a face iff covered[a] == 0, and W restricts to a cone iff covered[W] != W
-    covered = _covered_table(ideal.gens, n)
-    chi = _euler_table(covered)
-    non_cones = [w for w in range(1, 1 << n) if covered[w] == w]  # ascending
-    colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
+    tables = _subset_tables(ideal)
+    red.cones = tables.cones
+    face, chi, links = tables.face, tables.chi, tables.links
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
-    for w in non_cones:
-        link = _cone_link(w, colons)
+    for w in tables.non_cones:
+        link = links[w]
         if link:
             # the link of v is a cone, so the restriction to W is homotopy
             # equivalent to the restriction to W - v: a join of one part
-            parts = [w ^ link]
+            parts = [w ^ (1 << link - 1)]
         else:
             # the restriction to W is the join of the restrictions to the
             # components of its generators, each a non-cone below W
@@ -748,7 +862,7 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
             vbit = w & -w
             cells: list[list[int]] = [[] for _ in range(w.bit_count())]
             for s in submasks(w ^ vbit):
-                if not covered[s] and covered[s | vbit]:
+                if face[s] and not face[s | vbit]:
                     cells[s.bit_count()].append(s)
             work = _collapse(cells, _cell_bits(w))
             counts = tuple(map(len, work))

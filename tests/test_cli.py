@@ -218,12 +218,14 @@ def test_verify_meta_reports_the_oracle_reduction(capsys):
                      for cx in table.reduction.evaluated for c in range(2, len(cx.counts)))
     # the relative cells of every evaluated W, before and after the collapse
     cells = sum(len(cx.faces) for cx in table.reduction.evaluated)
-    assert data["meta"]["oracle"] == {"evaluations": table.evaluations, "derived": table.derived,
-                                      "joined": table.joined,
+    assert data["meta"]["oracle"] == {"cones": table.cones, "evaluations": table.evaluations,
+                                      "derived": table.derived, "joined": table.joined,
                                       "cells_before_collapse": table.reduction.cells_before_collapse,
                                       "cells_after_collapse": cells,
                                       "ranked_once": boundaries, "ranked_per_field": 0}
     assert (table.evaluations, table.derived, table.joined, boundaries) == (9, 32, 4, 2)
+    # every nonempty W is skipped as a cone, evaluated, derived or joined
+    assert table.cones + table.evaluations + table.derived + table.joined == 2 ** 8 - 1
     assert table.reduction.cells_before_collapse > cells > 0
     code, data = run_json(capsys, argv + ["--no-meta"])
     assert code == 0 and "meta" not in data

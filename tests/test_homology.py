@@ -24,6 +24,8 @@ from tconnect.homology import (
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 from util import (
     brute_betti_table,
+    brute_cone_link,
+    brute_covered,
     brute_non_cone_count,
     gens_vertices,
     hypergraph_induced_matching,
@@ -189,14 +191,15 @@ def test_betti_cap_env_override(monkeypatch):
 
 
 def test_betti_table_memory_checked_before_allocation(monkeypatch):
-    # 2^13 subsets of 132 bytes (covered, Euler table and non-cone list 40
-    # each, fold slices 12) need 1056 KiB; claim 1048 KiB
+    # 2^13 subsets of 100 bytes (Euler table and non-cone list 40 each,
+    # fold slices 12, four byte tables, 4 of strings) and 29 bit sets of
+    # 2^13 bits need 829 KiB; claim 828 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1048 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 828 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
         betti_table_ideal(ideal, GF2)
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 1056 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 829 << 10)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
@@ -401,10 +404,30 @@ def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):
     # every link reported a cone: each non-cone W would copy the homology of
     # W minus its lowest vertex; a generator W = {1, 2, 3} has Euler
     # characteristic -1, but {2, 3} has no homology
-    monkeypatch.setattr(tconnect.homology, "_cone_link", lambda w, colons: w & -w)
+    def lowest_vertex(colons, lacks):
+        return bytes((w & -w).bit_length() for w in range(1 << len(lacks)))
+
+    monkeypatch.setattr(tconnect.homology, "_link_table", lowest_vertex)
     with pytest.raises(HomologyAuditError, match="derived dimensions"):
         betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
     assert private_audit["failures"] == 1
+
+
+def test_audit_rejects_a_wrong_face_table(monkeypatch, private_audit):
+    # the first generator left out of the face up-closure only, so it is
+    # taken for a face while the cones, links and components still see it:
+    # on fig1[1..12] at t = 2 an edge goes missing from beta_1, and on
+    # path(6) at t = 3 the Euler table counts {1, 2, 3} as a face of
+    # W = {1, 2, 3, 4}, which derives from the hollow triangle {2, 3, 4}
+    non_faces = tconnect.homology._non_faces
+    monkeypatch.setattr(tconnect.homology, "_non_faces",
+                        lambda gens, lacks: non_faces(gens[1:], lacks))
+    with pytest.raises(HomologyAuditError, match="beta_1 by degree"):
+        betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
+    assert private_audit["failures"] == 1
+    with pytest.raises(HomologyAuditError, match="give Euler characteristic"):
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert private_audit["failures"] == 2
 
 
 def test_audit_rejects_a_wrong_join(monkeypatch, private_audit):
@@ -486,6 +509,40 @@ def test_derived_w_take_the_lowest_vertex_with_a_cone_link():
             assert (linked.get(w) == [w ^ v]) if v else len(linked.get(w, ())) != 1
             derived += v is not None
     assert derived
+
+
+def assert_tables_match_scans(ideal):
+    """The face bytes, the cone set and the link table of ``_subset_tables``
+    against the per-W scans of the generators and of the colons, at every W.
+    Returns whether some colon is None ({v} a generator)."""
+    n = ideal.n
+    tables = tconnect.homology._subset_tables(ideal)
+    colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
+    assert len(tables.face) == len(tables.links) == len(tables.chi) == 1 << n
+    non_cones = []
+    for w in range(1 << n):
+        covered = brute_covered(ideal.gens, w)
+        assert tables.face[w] == (covered == 0), w
+        if w and covered == w:
+            non_cones.append(w)
+        assert tables.links[w] == brute_cone_link(w, colons).bit_length(), w
+    assert tables.non_cones == non_cones
+    assert tables.cones == (1 << n) - 1 - len(non_cones)
+    return None in colons
+
+
+def test_subset_tables_match_the_per_w_scans():
+    rng = random.Random(31)
+    sizes, unit_colons = set(), 0
+    for _ in range(100):
+        ideal = random_antichain_ideal(rng, rng.randint(1, 8), max_gens=6)
+        sizes.add(ideal.n)
+        unit_colons += assert_tables_match_scans(ideal)
+    assert sizes == set(range(1, 9)) and unit_colons  # tables under a byte, colons of None
+    for t in (2, 3, 4, 5):
+        assert_tables_match_scans(t_connected_ideal(fig1_prefix(), t))
+    # _subset_tables is below the oracle cap's check, so n = 20 needs no raised cap
+    assert_tables_match_scans(t_connected_ideal(random_chordal(20, 0, 4), 2))
 
 
 def test_fig1_reduction_counts():

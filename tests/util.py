@@ -295,6 +295,33 @@ def brute_non_cone_count(gens_vertices, n):
     return count
 
 
+def brute_covered(gens, w):
+    """The union of the generators (bitmasks) inside W, by scanning them.
+
+    W is a face when it is 0, and restricts to a cone when it is not W.
+    """
+    covered = 0
+    for g in gens:
+        if g & w == g:
+            covered |= g
+    return covered
+
+
+def brute_cone_link(w, colons):
+    """The bit of the lowest vertex v of W whose link in the restriction to W is
+    a cone, or 0, by scanning the colon's generators at W.
+
+    ``colons[b]`` holds the generators of (I : x_v) for v the vertex of bit b,
+    or None when {v} is a generator.  The link is a cone iff the colon
+    generators inside W - v do not cover W - v.
+    """
+    for b in range(w.bit_length()):
+        v = 1 << b
+        if w & v and colons[b] is not None and brute_covered(colons[b], w ^ v) != w ^ v:
+            return v
+    return 0
+
+
 def random_antichain_ideal(rng: random.Random, n: int, max_gens: int = 5):
     """A random nonzero square-free ideal given as vertex tuples."""
     from tconnect.ideals import SquareFreeIdeal
