@@ -2,9 +2,10 @@
 
 Provides parsing/formatting of the edge-list text format, named fixtures,
 neighborhoods, induced subgraphs, connectivity, connected t-subset
-enumeration (grown along neighbors from single vertices, so its cost
-follows the output rather than C(n, t); the result is sorted, and more
-than ``CANDIDATE_CAP`` t-sets raise ``SearchSpaceError`` before any use),
+enumeration (each set grown once from its lowest vertex, on a stack of
+masks, so time follows the output rather than C(n, t) and memory holds
+only the t-sets; more than ``CANDIDATE_CAP`` of them raise
+``SearchSpaceError`` before any use),
 chordality certificates (Lex-BFS + perfect elimination check),
 simplicial vertices, and a seeded random chordal generator.
 """
@@ -232,31 +233,51 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(old), tuple(adj)), old
 
 
-def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """All C with |C| = t and G[C] connected, in lexicographic order.
+def connected_masks(g: Graph, t: int) -> list[int]:
+    """The masks of all C with |C| = t and G[C] connected, each once, unsorted.
 
-    Grown level by level from single vertices: each connected k-set keeps
-    its open neighborhood, and the (k+1)-sets are the k-sets plus one
-    neighbor each, so no disconnected set is ever formed.  The last level
-    is sorted by vertex tuple; more than ``CANDIDATE_CAP`` sets in it (not
-    in the levels grown on the way) raise ``SearchSpaceError`` first.
+    Wernicke's ESU (WABI 2005): every set is grown from its lowest vertex
+    v.  A stack entry holds a connected set S, its extension (the vertices
+    that may still join S, all above v) and N[S].  Each vertex w leaves
+    the extension as it is added, and the child's extension gains only
+    w's exclusive neighbors above v, those outside N[S]; so two branches
+    never reach the same set.  The stack holds only the siblings not yet
+    taken along one branch, never a level of sets, and a set of size t - 1
+    emits its t-sets without pushing them.  More than ``CANDIDATE_CAP``
+    sets raise ``SearchSpaceError``, with their exact count.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    level = {bit(v): g.adj[v - 1] for v in g.vertices()}
-    for _ in range(t - 1):
-        grown: dict[int, int] = {}
-        for c, nbrs in level.items():
-            for w in iter_bits(nbrs):
-                d = c | bit(w)
-                if d not in grown:
-                    grown[d] = (nbrs | g.adj[w - 1]) & ~d
-        level = grown
-    if len(level) > CANDIDATE_CAP:
+    adj = g.adj
+    out = [bit(v) for v in g.vertices()] if t == 1 else []
+    for v in g.vertices() if 1 < t <= g.n else ():  # no t-set when t > n
+        root = bit(v)
+        above = -(root << 1)  # the vertices above v
+        stack = [(root, adj[v - 1] & above, adj[v - 1] | root)]
+        while stack:
+            s, ext, closed = stack.pop()
+            if s.bit_count() == t - 1:
+                while ext:
+                    low = ext & -ext
+                    out.append(s | low)
+                    ext ^= low
+                continue
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                nbrs = adj[low.bit_length() - 1]
+                stack.append((s | low, ext | nbrs & above & ~closed, closed | nbrs))
+    if len(out) > CANDIDATE_CAP:
         raise SearchSpaceError(
-            f"{len(level)} connected {t}-subsets exceed the cap of {CANDIDATE_CAP}"
+            f"{len(out)} connected {t}-subsets exceed the cap of {CANDIDATE_CAP}"
         )
-    return sorted(vertices_of(c) for c in level)
+    return out
+
+
+def connected_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
+    """All C with |C| = t and G[C] connected, as vertex tuples in
+    lexicographic order: ``connected_masks`` (and its cap), sorted."""
+    return sorted(map(vertices_of, connected_masks(g, t)))
 
 
 # ---------------------------------------------------------------------------

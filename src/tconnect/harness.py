@@ -77,7 +77,7 @@ def predict(g: Graph, t: int) -> Predictions:
     return Predictions(
         t, chordal, nu, stats.height, stats.bight, stats.unmixed,
         ideal.is_zero, *pred, ideal,
-        {"minimal": len(stats.covers), "nodes": stats.nodes},
+        {"minimal": len(stats.masks), "nodes": stats.nodes},
         {"method": matching.method, "candidates": matching.candidates},
     )
 

@@ -16,7 +16,9 @@ every kept one:
 - the covers come from a depth-first search (Murakami and Uno's MMCS)
   that grows one cover at a time and extends it by a vertex only when
   each of its vertices keeps a private generator, so every minimal
-  transversal is reached exactly once and no cover list is kept;
+  transversal is reached exactly once and no list of partial covers is
+  kept; the covers stay masks (``CoverStats.masks``), and only
+  ``CoverStats.covers`` turns them into vertex tuples;
 - the supports that contain a kept support k are the AND of the rows of
   k's vertices, the rows built over the supports tested: one AND per
   vertex of each kept support, whatever the number of supports (they are
@@ -37,7 +39,7 @@ from operator import lt
 from typing import Iterable, Sequence
 
 from .bitset import bit, incidence_rows, iter_bits, mask_of, vertices_of
-from .graphs import Graph, connected_subsets
+from .graphs import Graph, connected_masks
 
 
 def _as_mask(support: int | Iterable[int]) -> int:
@@ -130,19 +132,7 @@ class SquareFreeIdeal:
         # adding the same disjoint bits to every mask keeps their order
         return SquareFreeIdeal(self.n, tuple(g | m for g in self.gens))
 
-    # -- minimal primes / cover statistics ---------------------------------
-
-    def minimal_primes(self) -> tuple[tuple[int, ...], ...]:
-        """All minimal transversals of the generator hypergraph, as sorted
-        vertex tuples (see ``minimal_transversals``).
-
-        The zero ideal has none here by convention; the unit ideal has
-        none because no cover meets its empty generator.
-        """
-        if self.is_zero:
-            return ()
-        covers, _ = minimal_transversals(self.gens)
-        return tuple(sorted(vertices_of(c) for c in covers))
+    # -- minimal covers / cover statistics ----------------------------------
 
     def cover_stats(self) -> "CoverStats":
         if self.is_zero:
@@ -152,17 +142,27 @@ class SquareFreeIdeal:
             raise ValueError("the unit ideal has no cover statistics")
         sizes = [c.bit_count() for c in covers]
         height, bight = min(sizes), max(sizes)
-        return CoverStats(height, bight, height == bight,
-                          tuple(sorted(vertices_of(c) for c in covers)), nodes)
+        return CoverStats(height, bight, height == bight, tuple(sorted(covers)), nodes)
 
 
 @dataclass(frozen=True)
 class CoverStats:
+    """Height, big height and unmixedness from the minimal covers.
+
+    The zero ideal has no covers here by convention; the unit ideal has
+    none because no cover meets its empty generator, and is rejected.
+    """
+
     height: int
     bight: int
     unmixed: bool
-    covers: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]  # the minimal covers, ascending
     nodes: int = field(default=0, compare=False)  # search nodes of minimal_transversals
+
+    @property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """The minimal covers (minimal primes) as sorted vertex tuples."""
+        return tuple(sorted(map(vertices_of, self.masks)))
 
 
 def minimal_transversals(gens: Sequence[int]) -> tuple[list[int], int]:
@@ -176,13 +176,15 @@ def minimal_transversals(gens: Sequence[int]) -> tuple[list[int], int]:
     generator F: F's candidate vertices leave the candidates, and the
     i-th of them is tried with the earlier ones put back, so no cover is
     reached twice.  S + v is kept only when every u in S keeps a crit
-    generator, so every node's S is minimal for what it covers, and a
-    node that meets every generator is a minimal transversal.  The
-    search runs on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  A generator 0 (the unit ideal) has no
-    vertex to branch on, so it yields no cover.
+    generator (each crit ANDed with the complement of v's incidence row,
+    taken once per vertex), so every node's S is minimal for what it
+    covers, and a node that meets every generator is a minimal
+    transversal.  The search runs on an explicit stack, so its depth is
+    not bounded by Python's recursion limit.  A generator 0 (the unit
+    ideal) has no vertex to branch on, so it yields no cover.
     """
     rows = incidence_rows(gens)
+    missing = [~r for r in rows]  # the generators avoiding each vertex
     covers = []
     nodes = 0
     every = (1 << (len(rows) - 1)) - 1  # vertices 1 .. the largest in a generator
@@ -195,12 +197,16 @@ def minimal_transversals(gens: Sequence[int]) -> tuple[list[int], int]:
             continue
         branch = cand & gens[(uncovered & -uncovered).bit_length() - 1]
         rest = cand & ~branch
-        for v in iter_bits(branch):
-            r = rows[v]
-            kept = [c & ~r for c in crits]
+        todo = branch
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length()
+            avoid = missing[v]
+            kept = [c & avoid for c in crits]
             if all(kept):
-                kept.append(uncovered & r)
-                stack.append((cover | bit(v), kept, uncovered & ~r, rest | branch & (bit(v) - 1)))
+                kept.append(uncovered & rows[v])
+                stack.append((cover | low, kept, uncovered & avoid, rest | branch & (low - 1)))
     return covers, nodes
 
 
@@ -250,16 +256,13 @@ def t_connected_ideal(g: Graph, t: int) -> SquareFreeIdeal:
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    return SquareFreeIdeal(g.n, tuple(sorted(mask_of(c) for c in connected_subsets(g, t))))
+    return SquareFreeIdeal(g.n, tuple(sorted(connected_masks(g, t))))
 
 
 def t_clique_ideal(g: Graph, t: int) -> SquareFreeIdeal:
     """Ideal generated by the monomials of t-subsets inducing complete subgraphs."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    gens = []
-    for c in connected_subsets(g, t):  # a clique is connected
-        m = mask_of(c)
-        if all(m & ~g.adj[v - 1] & ~bit(v) == 0 for v in c):
-            gens.append(m)
+    gens = [m for m in connected_masks(g, t)  # a clique is connected
+            if all(m & ~g.adj[v - 1] & ~bit(v) == 0 for v in iter_bits(m))]
     return SquareFreeIdeal(g.n, tuple(sorted(gens)))

@@ -3,23 +3,24 @@
 ``nu_t`` packs disjoint connected t-sets of a graph with no edges
 between distinct blocks: candidates C and D conflict when D meets N[C].
 
-On a chordal graph a greedy is exact, and after one sort it takes linear
-time.  Let p(C) be the largest position of a vertex of C in the perfect
-elimination ordering that ``chordality`` returns.  The candidates are
-walked by ascending p(C) (a stable sort, so ties stay in
-``connected_subsets`` order), and each one that misses N[C] of every
-block taken so far is taken.  Why this is exact: in a clique tree of G
-each connected set is a subtree, and D meets N[C] exactly when their
-subtrees meet.  So the conflict graph is a subtree-intersection graph,
-which is chordal (Gavril, JCTB 1974), and a greedy along its elimination
-order finds a maximum independent set (Gavril, SIAM J. Comput. 1972; for
-t = 2 this is Cameron's induced matchings, DAM 1989).  Directly: let u be
-the vertex of C at position p(C) and K the clique of u and its later
-neighbours.  Take D in conflict with C and p(D) >= p(C).  C + D is
-connected, and a shortest path inside it from u to another vertex at a
-position >= p(C) has only earlier vertices inside, so its far end is
-adjacent to u; that end lies in D.  So every such D meets K, any two of
-them conflict, and C can replace the one an optimum holds.
+On a chordal graph a greedy is exact.  Let p(C) be the largest position
+of a vertex of C in the perfect elimination ordering that ``chordality``
+returns.  The candidates are walked by ascending p(C), ties in
+lexicographic order of their vertex tuples, and each one that misses
+N[C] of every block taken so far is taken; ``_chordal_greedy`` walks
+them on their masks and incidence rows, with no sort.  Why this is
+exact: in a clique tree of G each connected set is a subtree, and D
+meets N[C] exactly when their subtrees meet.  So the conflict graph is a
+subtree-intersection graph, which is chordal (Gavril, JCTB 1974), and a
+greedy along its elimination order finds a maximum independent set
+(Gavril, SIAM J. Comput. 1972; for t = 2 this is Cameron's induced
+matchings, DAM 1989).  Directly: let u be the vertex of C at position
+p(C) and K the clique of u and its later neighbours.  Take D in conflict
+with C and p(D) >= p(C).  C + D is connected, and a shortest path inside
+it from u to another vertex at a position >= p(C) has only earlier
+vertices inside, so its far end is adjacent to u; that end lies in D.
+So every such D meets K, any two of them conflict, and C can replace the
+one an optimum holds.
 
 Other graphs are searched by branch and bound over a conflict graph
 built from vertex incidences: the row of a t-set C costs one OR of k-bit
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .bitset import incidence_rows, iter_bits, mask_of, vertices_of
-from .graphs import Graph, chordality, connected_subsets, neighborhood_mask
+from .graphs import Graph, chordality, connected_masks, connected_subsets, neighborhood_mask
 
 
 @dataclass(frozen=True)
@@ -58,27 +59,53 @@ def nu_t(g: Graph, t: int) -> MatchingResult:
     """Maximum t-induced matching of G with a witnessing family.
 
     Candidates are the connected t-subsets, at most ``CANDIDATE_CAP`` of
-    them (``connected_subsets`` raises ``SearchSpaceError`` past it); two
+    them (``connected_masks`` raises ``SearchSpaceError`` past it); two
     conflict when they intersect or a graph edge joins them.  A chordal G takes the greedy
     of the module docstring, any other G branch and bound.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    subsets = connected_subsets(g, t)
     peo = chordality(g).peo
     if peo is None:
-        return _branch_and_bound(g, subsets)
-    position = [0] * (g.n + 1)
-    for i, v in enumerate(peo):
-        position[v] = i
-    blocked = 0  # N[C] of every block taken
+        return _branch_and_bound(g, connected_subsets(g, t))
+    return _chordal_greedy(g, peo, connected_masks(g, t))
+
+
+def _chordal_greedy(g: Graph, peo: Sequence[int], masks: Sequence[int]) -> MatchingResult:
+    """The greedy of the module docstring, on the candidates' incidence rows.
+
+    The candidates with p(C) = i contain u = peo[i] and no later vertex,
+    one AND of rows each.  Every one of them holds u, so the greedy takes
+    at most one: the lexicographically first that misses N[C] of every
+    block taken so far.  Among equal-size sets that is the one left after
+    keeping, vertex by vertex in ascending order, those that contain it
+    whenever any does.  No candidate is sorted or turned into a tuple.
+    """
+    rows = incidence_rows(masks)
+    top = len(rows)
+    row = lambda v: rows[v] if v < top else 0  # a vertex in no candidate
+    later = 0
+    by_position = []
+    for u in reversed(peo):
+        by_position.append(row(u) & ~later)
+        later |= row(u)
+    blocked = hit = 0  # N[C] of every block taken, and the candidates meeting it
     blocks = []
-    for c in sorted(subsets, key=lambda c: max(map(position.__getitem__, c))):
-        m = mask_of(c)
-        if not m & blocked:
-            blocks.append(c)
-            blocked |= neighborhood_mask(g, m, closed=True)
-    return MatchingResult(len(blocks), tuple(sorted(blocks)), "chordal-greedy", len(subsets))
+    for free in reversed(by_position):
+        free &= ~hit
+        if not free:
+            continue
+        v = 1
+        while free & (free - 1):
+            free = free & row(v) or free
+            v += 1
+        m = masks[free.bit_length() - 1]
+        blocks.append(vertices_of(m))
+        fresh = neighborhood_mask(g, m, closed=True) & ~blocked
+        blocked |= fresh
+        for w in iter_bits(fresh):
+            hit |= row(w)
+    return MatchingResult(len(blocks), tuple(sorted(blocks)), "chordal-greedy", len(masks))
 
 
 def _branch_and_bound(g: Graph, subsets: Sequence[tuple[int, ...]]) -> MatchingResult:

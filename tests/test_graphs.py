@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from tconnect.graphs import (
     Graph,
     GraphParseError,
     chordality,
+    connected_masks,
     connected_subsets,
     fixture,
     format_graph,
@@ -197,12 +199,30 @@ def test_connected_subsets_match_brute_force():
     for seed in range(40):
         graphs.append(random_graph(seed % 11, 0.2 + 0.15 * (seed % 5), seed))
         graphs.append(random_chordal(1 + seed % 10, seed, 1 + seed % 4))
+        graphs.append(disjoint_union(random_chordal(1 + seed % 6, seed, 3),
+                                     random_graph(seed % 5, 0.5, seed)))
     for g in graphs:
-        for t in range(1, g.n + 2):
+        for t in range(1, g.n + 3):
+            masks = connected_masks(g, t)
+            assert len(set(masks)) == len(masks), (g, t)  # each set grown once
             assert connected_subsets(g, t) == brute_connected_subsets(g, t), (g, t)
         for t in (0, -1):
             with pytest.raises(ValueError, match="t must be >= 1"):
                 connected_subsets(g, t)
+
+
+def test_connected_subsets_dense_peak_memory():
+    # complete(16) has 1 820 connected 12-sets; growing C(16, 8) = 12 870
+    # 8-sets on the way, a level at a time, peaked at 2.9 MiB.
+    g = fixture("complete", 16)
+    tracemalloc.start()
+    try:
+        got = connected_subsets(g, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 1820
+    assert peak < 1 << 20, peak
 
 
 def test_connected_subsets_long_path_is_output_sized():

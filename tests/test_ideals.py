@@ -254,29 +254,29 @@ def test_scale_requires_disjoint():
 
 
 def test_minimal_primes_example():
-    assert ideal(4, [1, 2, 3], [2, 3, 4]).minimal_primes() == ((1, 4), (2,), (3,))
+    stats = ideal(4, [1, 2, 3], [2, 3, 4]).cover_stats()
+    assert stats.covers == ((1, 4), (2,), (3,))
+    assert stats.masks == (0b0010, 0b0100, 0b1001)
 
 
 def test_minimal_primes_single_variable():
-    assert ideal(1, [1]).minimal_primes() == ((1,),)
+    assert ideal(1, [1]).cover_stats().covers == ((1,),)
 
 
 def test_minimal_primes_edge():
-    assert ideal(2, [1, 2]).minimal_primes() == ((1,), (2,))
+    assert ideal(2, [1, 2]).cover_stats().covers == ((1,), (2,))
 
 
 def test_minimal_primes_zero_convention():
-    assert SquareFreeIdeal.zero(3).minimal_primes() == ()
     assert minimal_transversals(()) == ([0], 1)  # the empty set meets every generator
     stats = SquareFreeIdeal.zero(3).cover_stats()
-    assert (stats.height, stats.bight, stats.unmixed) == (0, 0, True)
+    assert (stats.height, stats.bight, stats.unmixed, stats.covers) == (0, 0, True, ())
 
 
 def test_cover_stats_unit_ideal_rejected():
     unit = ideal(3, [1, 2]).colon([1, 2])
     assert unit.gens == (0,)
-    assert unit.minimal_primes() == ()  # no prime contains the whole ring
-    assert minimal_transversals(unit.gens) == ([], 1)
+    assert minimal_transversals(unit.gens) == ([], 1)  # no prime contains the whole ring
     with pytest.raises(ValueError, match="unit ideal"):
         unit.cover_stats()
 
@@ -299,11 +299,14 @@ def test_minimal_primes_against_brute_force():
                                                    for _ in range(rng.randint(6, 14))]))
     for i in ideals:
         n = i.n
-        got = list(i.minimal_primes())
-        assert got == brute_minimal_transversals(gens_vertices(i), n)
         masks, nodes = minimal_transversals(i.gens)
-        assert len(set(masks)) == len(masks) == len(got)  # each cover is reached once
+        got = sorted(map(vertices_of, masks))
+        assert got == brute_minimal_transversals(gens_vertices(i), n)
+        assert len(set(masks)) == len(masks)  # each cover is reached once
         assert nodes >= len(masks)
+        if masks:  # not the unit ideal
+            stats = i.cover_stats()
+            assert stats.masks == tuple(sorted(masks)) and list(stats.covers) == got
         # direct minimal-transversal property
         gens = [set(g) for g in gens_vertices(i)]
         for cover in got:
@@ -326,6 +329,22 @@ def test_cover_stats_fig1_t4():
     assert (4, 5, 6, 7, 8, 12, 13, 14) in stats.covers
 
 
+@pytest.mark.parametrize("g, t, pins", [
+    # (minimal covers, search nodes), recorded before the covers were kept as masks
+    (fixture("fig1"), 2, (62, 196)),
+    (fixture("fig1"), 3, (208, 429)),
+    (fixture("fig1"), 4, (227, 447)),
+    (fixture("fig1"), 5, (220, 388)),
+    (random_chordal(20, 12, 4), 5, (1044, 3104)),
+    (random_chordal(20, 41, 4), 5, (2945, 7861)),
+], ids=["fig1-2", "fig1-3", "fig1-4", "fig1-5", "chordal20-12-5", "chordal20-41-5"])
+def test_cover_search_walks_the_pinned_tree(g, t, pins):
+    stats = t_connected_ideal(g, t).cover_stats()
+    assert (len(stats.masks), stats.nodes) == pins
+    assert stats.covers == tuple(sorted(vertices_of(c) for c in stats.masks))
+    assert list(stats.masks) == sorted(stats.masks)
+
+
 def test_fig1_transversals_match_subset_scan():
     # cross-check the incremental expansion against a full 2^14 scan
     big = t_connected_ideal(fixture("fig1"), 4)
@@ -338,10 +357,8 @@ def test_fig1_transversals_match_subset_scan():
         if face[a] and all(not face[a | (1 << v)] for v in range(14) if not a >> v & 1)
     ]
     full = (1 << 14) - 1
-    from tconnect.bitset import vertices_of
-
     scanned = sorted(vertices_of(full & ~a) for a in maximal)
-    assert sorted(big.minimal_primes()) == scanned
+    assert list(big.cover_stats().covers) == scanned
 
 
 def test_cover_stats_slow_chordal20_t5():

@@ -23,6 +23,7 @@ from util import (
     is_t_induced_matching,
     neighborhood,
     random_graph,
+    sorted_chordal_greedy,
 )
 
 
@@ -139,6 +140,21 @@ def test_chordal_greedy_matches_branch_and_bound():
                 assert got.candidates == ref.candidates
                 assert is_t_induced_matching(g, t, got.blocks)
                 cases += got.value > 1
+    assert cases > 40
+
+
+def test_chordal_greedy_matches_the_sorted_walk():
+    # same value and same blocks as sorting every t-set by p(C)
+    rng = random.Random(23)
+    cases = 0
+    for trial in range(60):
+        n = rng.randint(1, 14)
+        g = random_chordal(n, rng.randrange(10**6), rng.randint(0, 5))
+        for t in range(2, 6):
+            got = nu_t(g, t)
+            assert got.method == "chordal-greedy"
+            assert (got.value, got.blocks) == sorted_chordal_greedy(g, t), (n, trial, t)
+            cases += got.value > 1
     assert cases > 40
 
 

@@ -6,7 +6,8 @@ The ``brute_*`` functions recompute results from first principles
 package's own algorithms, so the main code paths are checked against a
 second route.  ``is_t_induced_matching`` (on ``nu_t``'s conflict rows)
 and ``hypergraph_induced_matching`` (the hypergraph definition of nu_t)
-are the second definitions the tests compare ``nu_t`` against.
+are the second definitions the tests compare ``nu_t`` against, and
+``sorted_chordal_greedy`` is its chordal greedy on sorted vertex tuples.
 ``neighbors``, ``degree``, ``has_edge`` and ``gens_vertices`` read a
 graph or an ideal in the forms only the tests need.
 """
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from math import gcd
 
 from tconnect.bitset import bit, iter_bits, mask_of, vertices_of
-from tconnect.graphs import Graph, graph_from_edges
+from tconnect.graphs import Graph, chordality, connected_subsets, graph_from_edges, neighborhood_mask
 from tconnect.matching import _conflict_rows
 
 
@@ -116,6 +117,28 @@ def brute_nu_t(g: Graph, t):
                 best = r
                 break
     return best
+
+
+def sorted_chordal_greedy(g: Graph, t):
+    """``nu_t``'s chordal greedy the long way, as (value, blocks): every
+    connected t-subset as a tuple, sorted by p(C), the largest position of
+    a vertex of C in ``chordality``'s perfect elimination ordering (a
+    stable sort, so ties stay lexicographic), then taken when it misses
+    N[C] of every block taken so far."""
+    peo = chordality(g).peo
+    if peo is None:
+        raise ValueError("the chordal greedy needs a chordal graph")
+    position = [0] * (g.n + 1)
+    for i, v in enumerate(peo):
+        position[v] = i
+    blocked = 0
+    blocks = []
+    for c in sorted(connected_subsets(g, t), key=lambda c: max(map(position.__getitem__, c))):
+        m = mask_of(c)
+        if not m & blocked:
+            blocks.append(c)
+            blocked |= neighborhood_mask(g, m, closed=True)
+    return len(blocks), tuple(sorted(blocks))
 
 
 def is_connected_mask(g: Graph, amask: int) -> bool:
