@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def bit(v: int) -> int:
@@ -36,6 +40,41 @@ def submasks(mask: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def select(items: Sequence[T], index_set: int) -> list[T]:
+    """The items at the set bits of ``index_set`` (bit j picks ``items[j]``), in order.
+
+    The binary string of ``index_set``, reversed and mapped to 0/1 bytes, is
+    the selector of one ``compress``: no per-bit loop.
+    """
+    return list(compress(items, format(index_set, "b")[::-1].encode().translate(_DIGITS)))
+
+
+def size_levels(rows: Iterable[int], within: int) -> list[int]:
+    """Index sets by count: bit j of ``levels[s]`` is set when j is in ``within``
+    and exactly s of the ``rows`` hold bit j.
+
+    The counts are bit-sliced: ``slices[b]`` holds bit b of every index's
+    count, and each row is added to them by a ripple-carry adder, one AND and
+    one XOR per slice it reaches.  Splitting ``within`` on the slices from the
+    highest down then gives the levels in increasing count, 2**len(slices) of
+    them (the top ones may be empty).
+    """
+    slices: list[int] = []
+    for r in rows:
+        carry = r & within
+        for b, s in enumerate(slices):
+            if not carry:
+                break
+            slices[b] = s ^ carry
+            carry &= s
+        if carry:
+            slices.append(carry)
+    levels = [within]
+    for s in reversed(slices):
+        levels = [part for level in levels for part in (level & ~s, level & s)]
+    return levels
 
 
 def incidence_rows(masks: Sequence[int]) -> list[int]:

@@ -15,7 +15,11 @@ J_i, R_i(w) and L_i come from the graph; the intersection of J_i and K_i
 is built once, from the K side: B_i misses C_i, so J_i = <x_{C_i}> ∩ <B_i>
 and J_i ∩ K_i = x_{C_i} * ((K_i : x_{C_i}) ∩ <B_i>), one colon and one
 intersection with a monomial prime (``SquareFreeIdeal.intersect_variables``),
-never L_i.  The paper's L_i is
+never L_i, and the zero ideal when B_i is empty.  K_i is kept as the set of
+indices of the full ideal's generators it holds, so each K_i drops the
+generators containing C_i with one AND of the full ideal's incidence rows,
+and its colon is taken on those rows (``SquareFreeIdeal.colon_within``):
+one transpose per ledger, none per K_i.  The paper's L_i is
 <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of those generators
 holds its own w in B_i, so that ideal is the sum of x_w * (L_i : x_w),
 and it equals the L_i above wherever every colon identity
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .bitset import bit, iter_bits, mask_of, vertices_of
+from .bitset import bit, iter_bits, mask_of, select, vertices_of
 from .graphs import Graph, connected_subsets, neighborhood_mask, simplicial_vertices
 from .ideals import SquareFreeIdeal, t_connected_ideal
 
@@ -116,11 +120,11 @@ def ledger(
     base = t_connected_ideal(g, t)
     bs = b_sets(g, cs)
     entries = []
-    k_gens = list(base.gens)
+    live = (1 << len(base.gens)) - 1  # K_i: the indices of base's generators it keeps
     for c, b in zip(cs, bs):
         cmask = mask_of(c)
-        k_gens = [m for m in k_gens if m & cmask != cmask]
-        k_ideal = SquareFreeIdeal(g.n, tuple(k_gens))
+        live &= ~base.containing(cmask)
+        k_ideal = SquareFreeIdeal(g.n, tuple(select(base.gens, live)))
         # C_i + w for ascending w is already a canonical antichain
         j_ideal = SquareFreeIdeal(g.n, tuple(cmask | bit(w) for w in b))
         open_c = neighborhood_mask(g, cmask)
@@ -136,8 +140,12 @@ def ledger(
         l_ideal = SquareFreeIdeal.make(
             g.n, [r | bit(w) for w, r_ideal in r_ideals.items() for r in r_ideal.gens]
         )
-        # J_i ∩ K_i = <x_C> ∩ <B_i> ∩ K_i = x_C * ((K_i : x_C) ∩ <B_i>), as B_i misses C_i
-        jk_ideal = k_ideal.colon(cmask).intersect_variables(mask_of(b)).scale(cmask)
+        # J_i ∩ K_i = <x_C> ∩ <B_i> ∩ K_i = x_C * ((K_i : x_C) ∩ <B_i>), as B_i misses C_i;
+        # the colon is taken on base's rows, and an empty B_i leaves the zero ideal
+        if b:
+            jk_ideal = base.colon_within(live, cmask).intersect_variables(mask_of(b)).scale(cmask)
+        else:
+            jk_ideal = SquareFreeIdeal.zero(g.n)
         entries.append(LedgerEntry(c, b, j_ideal, k_ideal, jk_ideal, l_ideal, r_ideals))
     return DecompositionLedger(g, x, t, base, tuple(entries))
 

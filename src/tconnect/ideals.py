@@ -23,22 +23,30 @@ every kept one:
   k's vertices, the rows built over the supports tested: one AND per
   vertex of each kept support, whatever the number of supports (they are
   walked by size and tested against the smaller kept ones).
-  Every ideal is minimalised this way: one built from supports, a sum
-  (the union of both antichains), an intersection (the pairwise lcms)
-  and a colon.  Intersecting with a monomial prime <x_v : v in P> needs
-  less: a generator meeting P stays, and one avoiding P times x_w (w in
-  P) is dropped only when it contains a kept generator meeting P in w
-  alone, one test per w (``intersect_variables``).
+  An ideal built from supports, a sum (the union of both antichains) and
+  an intersection (the pairwise lcms) are minimalised this way.
+  Intersecting with a monomial prime <x_v : v in P> needs less: a
+  generator meeting P stays, and one avoiding P times x_w (w in P) is
+  dropped only when it contains a kept generator meeting P in w alone,
+  one test per w (``intersect_variables``);
+- a colon (I : m) never builds the stripped masks g - m: it walks the
+  rows of I's own generators, transposed once per ideal and kept on it
+  (``SquareFreeIdeal.incidence``), with the sizes of the g - m as
+  bit-sliced index sets (``SquareFreeIdeal.colon_within``).  So the n
+  colons (I : x_v) of the homology tables share one transpose, and the
+  peeling ledger takes every (K_i : x_C) on the rows of the full ideal,
+  over the indices K_i keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, islice
 from operator import lt
 from typing import Iterable, Sequence
 
-from .bitset import bit, incidence_rows, iter_bits, mask_of, vertices_of
+from .bitset import bit, incidence_rows, iter_bits, mask_of, select, size_levels, vertices_of
 from .graphs import Graph, connected_masks
 
 
@@ -118,10 +126,63 @@ class SquareFreeIdeal:
             out += [g | b for g in _not_above(stripped, avoids)]
         return SquareFreeIdeal(self.n, tuple(sorted(out)))
 
+    @cached_property
+    def incidence(self) -> list[int]:
+        """The generators' incidence rows (``bitset.incidence_rows``), built on first use."""
+        return incidence_rows(self.gens)
+
+    def containing(self, support: int) -> int:
+        """The index set of the generators that contain ``support``: the AND of
+        its vertices' rows (every index when ``support`` is 0)."""
+        return _containing(self.incidence, (1 << len(self.gens)) - 1, support)
+
     def colon(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
-        """Quotient (I : m) for a square-free monomial m."""
+        """Quotient (I : m) for a square-free monomial m: ``colon_within`` on
+        every generator, so it relies on the generators being an antichain."""
+        return self.colon_within((1 << len(self.gens)) - 1, support)
+
+    def colon_within(self, live: int, support: int | Iterable[int]) -> "SquareFreeIdeal":
+        """(I' : m) for I' generated by the generators at the indices in ``live``.
+
+        (I' : m) is generated by the minimal supports g - m.  It relies on the
+        generators being an antichain, and walks their incidence rows, never
+        the stripped masks:
+        - the generators meeting m are the OR of the rows of m's vertices;
+        - the size of each of their g - m is a bit-sliced count of the rows
+          of the vertices outside m (``bitset.size_levels``), so each size
+          is one index set;
+        - from the smallest size up, the lowest index not yet marked gives a
+          minimal g - m = h, and every index whose generator holds h is
+          marked (the AND of h's rows): its g' - m contains h, duplicates
+          of h included;
+        - a generator avoiding m is kept unless marked: it lies under no
+          g - m, for then it would lie under g, and g != it as g meets m.
+        So only the kept supports are looped over.  h = 0 (m swallows a
+        generator) marks every index and leaves the unit ideal.
+        """
         m = _as_mask(support)
-        return SquareFreeIdeal(self.n, minimalize_masks(g & ~m for g in self.gens))
+        gens, rows = self.gens, self.incidence
+        top = len(rows)
+        meet = 0
+        for v in iter_bits(m):
+            if v >= top:
+                break
+            meet |= rows[v]
+        meet &= live
+        kept: list[int] = []
+        marked = 0
+        if meet:
+            held = [rows[v] for v in range(1, top) if rows[v] & meet and not m >> (v - 1) & 1]
+            for level in size_levels(held, meet):
+                level &= ~marked
+                while level:
+                    h = gens[(level & -level).bit_length() - 1] & ~m
+                    kept.append(h)
+                    above = _containing(rows, live, h)
+                    marked |= above
+                    level &= ~above
+        kept += select(gens, live & ~meet & ~marked)
+        return SquareFreeIdeal(self.n, tuple(sorted(kept)))
 
     def scale(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
         """Product m*I for a square-free monomial with support disjoint from all generators."""
@@ -220,16 +281,22 @@ def _not_above(kept: Sequence[int], masks: Sequence[int]) -> list[int]:
     if not kept:
         return list(masks)
     rows = incidence_rows(masks)
-    top = len(rows)
     full = (1 << len(masks)) - 1
     above = 0
     for k in kept:
-        inside = full
-        for v in iter_bits(k):
-            inside &= rows[v] if v < top else 0
-        above |= inside
-    # bit j of ``above`` is digit j from the right of its binary string
-    return [m for m, a in zip(masks, format(above, f"0{len(masks)}b")[::-1]) if a == "0"]
+        above |= _containing(rows, full, k)
+    return select(masks, full & ~above)
+
+
+def _containing(rows: Sequence[int], live: int, support: int) -> int:
+    """The indices of ``live`` whose mask contains ``support``: the AND of the
+    rows of its vertices (none when a vertex lies past the rows)."""
+    top = len(rows)
+    for v in iter_bits(support):
+        if v >= top:
+            return 0
+        live &= rows[v]
+    return live
 
 
 def _prune_nonminimal(masks: Iterable[int]) -> list[int]:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tconnect import bitset
-from tconnect.bitset import incidence_rows, mask_of
+from tconnect.bitset import incidence_rows, mask_of, select, size_levels
 from tconnect.graphs import connected_subsets, fixture
 from util import brute_incidence_rows
 
@@ -58,3 +58,29 @@ def test_incidence_rows_check_rejects_a_wrong_stride(fault):
         except ValueError:  # a slice past the end reads an empty row
             rejected += 1
     assert rejected
+
+
+def test_size_levels_match_the_bit_count_per_index():
+    rng = random.Random(2025)
+    cases = [([], 0), ([], 0b101), ([0b11], 0), ([0b11, 0b10, 0b10], 0b111)]
+    for _ in range(300):
+        width = rng.randint(1, 140)
+        rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, 20))]
+        cases.append((rows, rng.choice([(1 << width) - 1, rng.getrandbits(width)])))
+    for rows, within in cases:
+        levels = size_levels(rows, within)
+        assert len(levels) & (len(levels) - 1) == 0  # 2**len(slices) levels
+        for j in range(max(within.bit_length(), 1)):
+            count = sum((r >> j & 1) << i for i, r in enumerate(rows)).bit_count()
+            holding = [s for s, level in enumerate(levels) if level >> j & 1]
+            assert holding == ([count] if within >> j & 1 else []), (rows, within, j)
+
+
+def test_select_picks_the_items_at_the_set_bits():
+    rng = random.Random(2026)
+    assert select([], 0) == select([5, 6], 0) == []
+    assert select("abc", 0b101) == ["a", "c"]
+    for _ in range(200):
+        items = [rng.getrandbits(20) for _ in range(rng.randint(0, 150))]
+        index_set = rng.getrandbits(len(items))
+        assert select(items, index_set) == [m for j, m in enumerate(items) if index_set >> j & 1]

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from tconnect import decomposition
-from tconnect.bitset import bit, mask_of, vertices_of
+from tconnect import decomposition, ideals
+from tconnect.bitset import bit, mask_of, select, vertices_of
 from tconnect.decomposition import (
     FIG1_X5_T4_WORKED_ORDER,
     a_x_list,
@@ -15,7 +15,7 @@ from tconnect.decomposition import (
 )
 from tconnect.graphs import fixture, induced_subgraph, random_chordal, simplicial_vertices
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
-from util import gens_vertices, lcm_l_ideal, neighborhood, neighbors, variables_ideal
+from util import brute_minimalize, gens_vertices, lcm_l_ideal, neighborhood, neighbors, variables_ideal
 
 FIG1 = fixture("fig1")
 
@@ -180,6 +180,66 @@ def test_ledger_intersections_match_the_pairwise_lcms():
             assert e.jk_ideal == e.j_ideal.intersect(e.k_ideal), (g.n, x, t, e.c)
             entries += 1
     assert entries > 500
+
+
+def test_ledger_live_set_colon_matches_the_colon_of_k(monkeypatch):
+    # the ledger takes (K_i : x_C) on base's rows, over the indices K_i keeps;
+    # K_i's own colon and the brute prune are the references, at every entry
+    cases = [(FIG1, 5, t) for t in range(2, 6)]
+    for k in (35, 38):
+        g = random_chordal(20, k, 4)
+        cases += [(g, simplicial_vertices(g)[0], t) for t in (4, 5)]
+    real = SquareFreeIdeal.colon_within
+    entries = empty = 0
+    for g, x, t in cases:
+        calls = []
+
+        def recorded(self, live, support):
+            calls.append((self, live, support))
+            return real(self, live, support)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(SquareFreeIdeal, "colon_within", recorded)
+            led = ledger(g, x, t)
+        base = led.base_ideal
+        taken = iter(calls)
+        for e in led.entries:
+            entries += 1
+            if not e.b:
+                assert e.jk_ideal.is_zero
+                empty += 1
+                continue
+            c = mask_of(e.c)
+            own, live, support = next(taken)
+            assert own is base and support == c
+            assert select(base.gens, live) == list(e.k_ideal.gens), (g.n, t, e.c)
+            got = real(base, live, c)
+            assert got == e.k_ideal.colon(c), (g.n, t, e.c)
+            assert got.gens == tuple(sorted(brute_minimalize([m & ~c for m in e.k_ideal.gens])))
+        assert next(taken, None) is None
+    assert entries > 100 and empty
+
+
+def test_ledger_and_identities_transpose_each_ideal_once(monkeypatch):
+    # a count of transposes, not a time: the ledger reads every K_i colon off
+    # base's rows, and verify_identities reads each L_i's colons off its own
+    calls = []
+    real = ideals.incidence_rows
+
+    def counting(masks):
+        calls.append(tuple(masks))
+        return real(masks)
+
+    monkeypatch.setattr(ideals, "incidence_rows", counting)
+    g = random_chordal(20, 35, 4)
+    led = ledger(g, simplicial_vertices(g)[0], 5)
+    assert calls.count(led.base_ideal.gens) == 1
+    ks = {e.k_ideal.gens for e in led.entries} - {led.base_ideal.gens}
+    assert ks and not ks & set(calls)
+    calls.clear()
+    assert verify_identities(led).all_passed
+    counts = [calls.count(e.l_ideal.gens) for e in led.entries if e.b]
+    assert max(counts) == 1
 
 
 def test_identity_order_independence_of_endpoints():

@@ -215,6 +215,56 @@ def test_colon_by_square_free_monomial():
     assert i.colon([4, 5]).gens == (0,)
 
 
+def brute_colon(gens, m):
+    return tuple(sorted(brute_minimalize([g & ~m for g in gens])))
+
+
+def colon_cases(rng):
+    """(ideal, m) pairs: mixed degrees, m = 0, an m that swallows a generator,
+    the zero ideal, an m with bits above every generator, and n up to 70 with
+    more than 64 generators."""
+    cases = [(SquareFreeIdeal.zero(5), 0), (SquareFreeIdeal.zero(5), 0b10110),
+             (SquareFreeIdeal(3, (0,)), 0), (SquareFreeIdeal(3, (0,)), 0b101),
+             (ideal(6, [1, 2], [2, 3, 4], [5]), 1 << 5)]
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        i = SquareFreeIdeal.make(n, random_masks(rng, n, rng.choice([0, 3, 12, 40, 150])))
+        top = max(i.gens, default=0).bit_length()
+        ms = [0, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+        if i.gens:
+            ms.append(rng.choice(i.gens) | rng.getrandbits(n))  # swallows a generator
+            ms.append(rng.choice(i.gens) & rng.getrandbits(n))
+        if top < n:
+            ms.append(rng.getrandbits(n) & ~((1 << top) - 1) | 1 << (n - 1))  # above every generator
+        cases += [(i, m) for m in ms]
+    return cases
+
+
+def test_colon_matches_the_brute_prune():
+    cases = colon_cases(random.Random(41))
+    assert any(len(i.gens) > 64 and i.n > 64 for i, _ in cases)
+    assert any(i.colon(m).gens == (0,) and 0 not in i.gens for i, m in cases)
+    for i, m in cases:
+        assert i.colon(m).gens == brute_colon(i.gens, m), (i, m)
+
+
+def test_colon_within_matches_the_brute_prune_on_the_live_generators():
+    rng = random.Random(43)
+    for i, m in colon_cases(rng):
+        full = (1 << len(i.gens)) - 1
+        for live in (0, full, rng.getrandbits(len(i.gens)), rng.getrandbits(len(i.gens)) & full >> 1):
+            gens = [g for j, g in enumerate(i.gens) if live >> j & 1]
+            assert i.colon_within(live, m).gens == brute_colon(gens, m), (i, live, m)
+
+
+def test_containing_matches_the_per_generator_test():
+    rng = random.Random(47)
+    for i, m in colon_cases(rng):
+        for s in (m, m & rng.getrandbits(i.n), rng.choice(i.gens or (0,))):
+            want = sum(1 << j for j, g in enumerate(i.gens) if g & s == s)
+            assert i.containing(s) == want, (i, s)
+
+
 def test_colon_comma_exchange_random():
     # (I + <x_1..x_{r-1}>) : x_r  ==  (I : x_r) + <x_1..x_{r-1}>
     rng = random.Random(5)
