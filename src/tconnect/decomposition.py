@@ -19,11 +19,12 @@ never L_i, and the zero ideal when B_i is empty.  K_i is kept as the set of
 indices of the full ideal's generators it holds, so each K_i drops the
 generators containing C_i with one AND of the full ideal's incidence rows,
 and its colon is taken on those rows (``SquareFreeIdeal.colon_within``):
-one transpose per ledger, none per K_i.  The paper's L_i is
-<lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of those generators
-holds its own w in B_i, so that ideal is the sum of x_w * (L_i : x_w),
-and it equals the L_i above wherever every colon identity
-(L_i : x_w) = R_i(w) holds.  The verify functions only compare:
+one transpose per ledger, none per K_i.  Each Q_i(w) is the generators
+outside one OR of the same rows (``SquareFreeIdeal.meeting``).  The
+paper's L_i is <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of
+those generators holds its own w in B_i, so that ideal is the sum of
+x_w * (L_i : x_w), and it equals the L_i above wherever every colon
+identity (L_i : x_w) = R_i(w) holds.  The verify functions only compare:
 J_i + K_i with K_{i-1}, the intersection with x_{C_i} * L_i, each
 (L_i : x_w) with R_i(w), and, at indices whose closed neighborhood
 dominates the whole graph, the intersection with its quadratic closed
@@ -120,7 +121,8 @@ def ledger(
     base = t_connected_ideal(g, t)
     bs = b_sets(g, cs)
     entries = []
-    live = (1 << len(base.gens)) - 1  # K_i: the indices of base's generators it keeps
+    every = (1 << len(base.gens)) - 1
+    live = every  # K_i: the indices of base's generators it keeps
     for c, b in zip(cs, bs):
         cmask = mask_of(c)
         live &= ~base.containing(cmask)
@@ -132,10 +134,12 @@ def ledger(
         r_ideals = {}
         for w in b:
             excl = closed_c | neighborhood_mask(g, bit(w), closed=True)
-            # singletons on N(C_i) - w and N(w) - N[C_i], then Q_i(w): the parts
-            # share no vertex and Q_i(w) holds no singleton, so the union is minimal
+            # singletons on N(C_i) - w and N(w) - N[C_i], then Q_i(w), the generators
+            # meeting no vertex of excl: the parts share no vertex and Q_i(w) holds
+            # no singleton, so the union is minimal
             singles = (open_c & ~bit(w)) | (g.adj[w - 1] & ~closed_c)
-            r_gens = [bit(v) for v in iter_bits(singles)] + [m for m in base.gens if not m & excl]
+            q_gens = select(base.gens, every & ~base.meeting(excl))
+            r_gens = [bit(v) for v in iter_bits(singles)] + q_gens
             r_ideals[w] = SquareFreeIdeal(g.n, tuple(sorted(r_gens)))
         l_ideal = SquareFreeIdeal.make(
             g.n, [r | bit(w) for w, r_ideal in r_ideals.items() for r in r_ideal.gens]

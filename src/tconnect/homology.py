@@ -79,12 +79,12 @@ reduction over another.  The convolutions of the linked W, their audits
 and the sum of the table depend only on the evaluated W's dimensions, so
 the reduction keeps each such fold under the dimensions that made it, and
 a field whose evaluated W have the same dimensions takes a copy of its
-entries.  GF(2) ranks every boundary matrix on its own.
-The first other field to need a matrix eliminates its integer rows once
-with +-1 pivots (``linalg.rank_unimodular``); when every pivot is +-1
-that rank holds over every field, and the reduction keeps it for all of
-them.  Only a matrix that meets another pivot (the projective plane has
-one) is ranked again over each field by itself.
+entries.  The first field to need a boundary matrix, GF(2) included,
+eliminates its integer rows once with +-1 pivots
+(``linalg.rank_unimodular``); when every pivot is +-1 that rank holds
+over every field, and the reduction keeps it for all of them.  Only a
+matrix that meets another pivot (the projective plane has one) is ranked
+again over each field by itself.
 
 Every W in the sum is audited: an evaluated W over every field, a linked
 W once per fold (a second field with the same evaluated dimensions would
@@ -100,20 +100,18 @@ link's is nonzero.  The first syzygies are audited once per table:
 beta_{1,j} must equal the number of generators of degree j.  Neither
 audit sees the ranks (the rank terms cancel in the alternating sum, and
 after the collapse the top cell W - v, where it is left, meets no cell
-below it, so no top matrix is ranked), so every rank is checked by a
-second route over its field.  A rank certified over every field and the
-GF(2) rank of the same matrix must agree (a certificate made with no
-GF(2) rank known has one computed for it).  A GF(2) rank made before any
-certificate, and a rank of a matrix that fell back, must equal a dense
-elimination over its field.
+below it, so no top matrix is ranked), so every rank is checked once
+by a second route.  A certified rank is checked, when it is made,
+against the GF(2) rank of the same matrix.  A rank of a matrix that fell
+back must equal a dense elimination over its field, GF(2) included.
 
-All arithmetic is exact: GF(2) boundary rows are bitmasks ranked by XOR
-elimination; the other rows are sparse dicts {lower cell index: +-1},
-eliminated over the integers with +-1 pivots.  A matrix that falls back
-has its rows built again for each field, and ranked by sparse modular
-elimination over GF(p) and by sparse fraction-free integer elimination
-over Q.  The collapse and the boundary rows walk one list of the
-single-bit masks of W - v.
+All arithmetic is exact: boundary rows are sparse dicts {lower cell
+index: +-1}, eliminated over the integers with +-1 pivots.  Over GF(2)
+they are taken as bitmasks and ranked by XOR elimination.  A matrix that
+falls back has its rows built again for each field, and is ranked over
+GF(2) that way, over GF(p) by sparse modular elimination and over Q by
+sparse fraction-free integer elimination.  The collapse and the boundary
+rows walk one list of the single-bit masks of W - v.
 """
 
 from __future__ import annotations
@@ -298,22 +296,6 @@ def _boundary_faces(cx: _Collapsed, c: int) -> tuple[array, array]:
     return cx.faces[mid:mid + cx.counts[c]], cx.faces[start:mid]
 
 
-def _gf2_rows(upper: array, lower: array, wbits: list[int]) -> list[int]:
-    """Boundary rows from c-cells (upper) to (c-1)-cells (lower), bitmasks over the lower cells.
-
-    A lower face that is no cell (in the star, or collapsed) is skipped.
-    """
-    index = {f: 1 << i for i, f in enumerate(lower)}
-    rows = []
-    for f in upper:
-        row = 0
-        for b in wbits:
-            if f & b:
-                row |= index.get(f ^ b, 0)
-        rows.append(row)
-    return rows
-
-
 def _signed_rows(upper: array, lower: array, wbits: list[int]) -> list[dict[int, int]]:
     """Integer boundary rows from c-cells (upper) to (c-1)-cells (lower).
 
@@ -336,21 +318,9 @@ def _signed_rows(upper: array, lower: array, wbits: list[int]) -> list[dict[int,
     return rows
 
 
-def _dense_rank_gf2(rows: list[int], width: int) -> int:
-    """Rank over GF(2) of bitmask rows by dense elimination, as ``_dense_rank`` does."""
-    rows = list(rows)
-    rank = 0
-    for col in range(width):
-        b = 1 << col
-        piv = next((r for r in range(rank, len(rows)) if rows[r] & b), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r] & b:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return rank
+def _gf2_rows(rows: list[dict[int, int]]) -> list[int]:
+    """The signed rows mod 2, as bitmasks over the lower cells."""
+    return [sum(1 << i for i in row) for row in rows]
 
 
 def _dense_rank(rows: list[dict[int, int]], width: int, p: int | None) -> int:
@@ -654,11 +624,10 @@ class HochsterReduction:
 
     ``certified`` maps (W, c), the boundary of W's c-faces, to its rank
     from a +-1-pivot elimination, which holds over every field, or to None
-    where a pivot was not +-1.  The first field other than GF(2) to rank
-    the matrix fills the entry; every later one reads it and ranks on its
-    own only where it is None.  GF(2) keeps its bitmask elimination, and
-    its ranks (``gf2_ranks``) check the certified ones.  The cell counts
-    before and after the collapse are summed over the evaluated W.
+    where a pivot was not +-1.  The first field to rank the matrix fills
+    the entry; every later one reads it and ranks on its own only where it
+    is None.  The cell counts before and after the collapse are summed
+    over the evaluated W.
     """
 
     def __init__(self, ideal: SquareFreeIdeal):
@@ -669,7 +638,6 @@ class HochsterReduction:
         self.linked_parts = array("q")
         self.linked_chi = array("q")
         self.certified: dict[tuple[int, int], int | None] = {}
-        self.gf2_ranks: dict[tuple[int, int], int] = {}
         self.folds: dict[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]] = {}
         self.cones = 0  # W skipped because they restrict to a cone
         self.cells_before_collapse = 0  # relative cells of every evaluated W, summed
@@ -678,36 +646,30 @@ class HochsterReduction:
     def boundary_rank(self, cx: _Collapsed, c: int, fld: Field) -> int:
         """Rank over fld of the boundary map from W's c-cells to its (c-1)-cells.
 
-        Every rank is checked by a second route.  A certificate is checked
-        against the GF(2) rank, which is computed for it if no GF(2) table
-        came first.  A GF(2) rank is checked against the certificate where
-        there is one, and any other rank against a dense elimination over
-        its field.
+        Every rank is checked once by a second route.  The first field to
+        need the matrix eliminates its signed rows with +-1 pivots; a rank
+        so certified is checked against the GF(2) rank of the same matrix
+        and then serves every field.  A matrix with a pivot that is not +-1
+        is ranked over each field by itself and checked against a dense
+        elimination over that field.
         """
         key = (cx.w, c)
         cert = self.certified.get(key)
-        if cert is not None and fld.p != 2:
+        if cert is not None:
             return cert
         upper, lower = _boundary_faces(cx, c)
-        wbits = _cell_bits(cx.w)
-        if fld.p == 2:
-            rows = _gf2_rows(upper, lower, wbits)
-            gf2 = self.gf2_ranks[key] = rank_gf2(rows)
-            if cert is None:
-                _audit_rank(key, gf2, fld, _dense_rank_gf2(rows, len(lower)), _DENSE)
-            else:
-                _audit_rank(key, gf2, fld, cert, _CERTIFIED)
-            return gf2
-        rows = _signed_rows(upper, lower, wbits)
+        rows = _signed_rows(upper, lower, _cell_bits(cx.w))
         if key not in self.certified:
             cert = self.certified[key] = rank_unimodular(rows)
             if cert is not None:
-                gf2 = self.gf2_ranks.get(key)
-                if gf2 is None:
-                    gf2 = self.gf2_ranks[key] = rank_gf2(_gf2_rows(upper, lower, wbits))
-                _audit_rank(key, gf2, GF2, cert, _CERTIFIED)
+                _audit_rank(key, rank_gf2(_gf2_rows(rows)), GF2, cert, _CERTIFIED)
                 return cert
-        rank = rank_rationals(rows) if fld.p is None else rank_mod_p(rows, fld.p)
+        if fld.p is None:
+            rank = rank_rationals(rows)
+        elif fld.p == 2:
+            rank = rank_gf2(_gf2_rows(rows))
+        else:
+            rank = rank_mod_p(rows, fld.p)
         _audit_rank(key, rank, fld, _dense_rank(rows, len(lower), fld.p), _DENSE)
         return rank
 

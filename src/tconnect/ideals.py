@@ -29,9 +29,14 @@ every kept one:
   generator meeting P stays, and one avoiding P times x_w (w in P) is
   dropped only when it contains a kept generator meeting P in w alone,
   one test per w (``intersect_variables``);
-- a colon (I : m) never builds the stripped masks g - m: it walks the
-  rows of I's own generators, transposed once per ideal and kept on it
-  (``SquareFreeIdeal.incidence``), with the sizes of the g - m as
+- the rows of I's own generators are transposed once per ideal and kept
+  on it (``SquareFreeIdeal.incidence``).  The generators that contain a
+  support are the AND of its vertices' rows (``containing``), and those
+  that meet it the OR (``meeting``), so the peeling ledger drops the
+  generators above C_i and finds those avoiding a vertex set without a
+  scan of the generators;
+- a colon (I : m) never builds the stripped masks g - m: it walks those
+  rows, with the generators meeting m and the sizes of their g - m as
   bit-sliced index sets (``SquareFreeIdeal.colon_within``).  So the n
   colons (I : x_v) of the homology tables share one transpose, and the
   peeling ledger takes every (K_i : x_C) on the rows of the full ideal,
@@ -136,6 +141,17 @@ class SquareFreeIdeal:
         its vertices' rows (every index when ``support`` is 0)."""
         return _containing(self.incidence, (1 << len(self.gens)) - 1, support)
 
+    def meeting(self, support: int) -> int:
+        """The index set of the generators that meet ``support``: the OR of
+        its vertices' rows (none when ``support`` is 0)."""
+        rows = self.incidence
+        out = 0
+        for v in iter_bits(support):
+            if v >= len(rows):
+                break
+            out |= rows[v]
+        return out
+
     def colon(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
         """Quotient (I : m) for a square-free monomial m: ``colon_within`` on
         every generator, so it relies on the generators being an antichain."""
@@ -147,7 +163,8 @@ class SquareFreeIdeal:
         (I' : m) is generated by the minimal supports g - m.  It relies on the
         generators being an antichain, and walks their incidence rows, never
         the stripped masks:
-        - the generators meeting m are the OR of the rows of m's vertices;
+        - the generators meeting m are ``meeting(m)``, the OR of the rows of
+          m's vertices;
         - the size of each of their g - m is a bit-sliced count of the rows
           of the vertices outside m (``bitset.size_levels``), so each size
           is one index set;
@@ -162,17 +179,12 @@ class SquareFreeIdeal:
         """
         m = _as_mask(support)
         gens, rows = self.gens, self.incidence
-        top = len(rows)
-        meet = 0
-        for v in iter_bits(m):
-            if v >= top:
-                break
-            meet |= rows[v]
-        meet &= live
+        meet = self.meeting(m) & live
         kept: list[int] = []
         marked = 0
         if meet:
-            held = [rows[v] for v in range(1, top) if rows[v] & meet and not m >> (v - 1) & 1]
+            held = [rows[v] for v in range(1, len(rows))
+                    if rows[v] & meet and not m >> (v - 1) & 1]
             for level in size_levels(held, meet):
                 level &= ~marked
                 while level:

@@ -213,7 +213,7 @@ def test_verify_meta_reports_the_oracle_reduction(capsys):
     code, data = run_json(capsys, argv)
     assert code == 0
     table = betti_table_ideal(t_connected_ideal(fixture("cycle", 8), 3), GF2)
-    # GF(3) and Q share one +-1-pivot rank of each nonempty boundary matrix
+    # every field shares one +-1-pivot rank of each nonempty boundary matrix
     boundaries = sum(bool(cx.counts[c] and cx.counts[c - 1])
                      for cx in table.reduction.evaluated for c in range(2, len(cx.counts)))
     # the relative cells of every evaluated W, before and after the collapse

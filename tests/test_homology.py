@@ -238,12 +238,19 @@ def test_audit_rejects_a_wrong_rank(monkeypatch, private_audit):
     # The Euler audit cannot see this fault: rank terms cancel in the
     # alternating sum.  Nor can the first syzygies: after the collapse the
     # top cell W - v meets no cell below it, so no top matrix is ranked.
-    # A dense elimination over GF(2) ranks each matrix again.
+    # Every matrix of fig1 on vertices 1..12 is certified by its +-1
+    # pivots, which reject a low GF(2) rank of it.
     rank_gf2 = tconnect.homology.rank_gf2
     monkeypatch.setattr(tconnect.homology, "rank_gf2", lambda rows: max(rank_gf2(rows) - 1, 0))
-    with pytest.raises(HomologyAuditError, match=r"over GF\(2\) .* a dense elimination gives"):
+    with pytest.raises(HomologyAuditError, match=r"over GF\(2\) .* certify rank"):
         betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
     assert private_audit["failures"] == 1
+    # the projective plane's matrix has a pivot -2, so GF(2) ranks it on
+    # its own; a dense elimination over GF(2) rejects a rank one too low
+    with pytest.raises(HomologyAuditError,
+                       match=r"over GF\(2\) .* a dense elimination gives 4"):
+        betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
+    assert private_audit["failures"] == 2
 
 
 def test_audit_rejects_first_syzygies_moved_two_degrees(monkeypatch, private_audit):
@@ -294,8 +301,8 @@ def off_by_one(fn, delta=-1):
 
 
 def test_audit_rejects_a_wrong_rank_over_a_cross_field(monkeypatch, private_audit):
-    # the GF(2) table is right; the ranks the +-1 pivots certify for GF(3)
-    # are not, and the GF(2) ranks of the same matrices reject them
+    # the ranks the +-1 pivots certify while the GF(2) table is built are
+    # wrong, and the GF(2) ranks of the same matrices reject them
     with monkeypatch.context() as m:
         m.setattr(tconnect.homology, "rank_unimodular",
                   off_by_one(tconnect.homology.rank_unimodular))
@@ -323,11 +330,12 @@ def test_audit_rejects_a_wrong_certified_rank_over_one_field(monkeypatch, privat
 
 
 def test_audit_rejects_a_wrong_gf2_rank_after_a_certified_one(monkeypatch, private_audit):
-    # GF(3) ranks first, as under verify --field gf3 --cross-field
-    table = betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF3)
+    # GF(3) ranks first, as under verify --field gf3 --cross-field: its
+    # certificates are checked against the GF(2) ranks as they are made,
+    # and GF(2) then reads them with no rank of its own
     monkeypatch.setattr(tconnect.homology, "rank_gf2", off_by_one(tconnect.homology.rank_gf2))
-    with pytest.raises(HomologyAuditError, match="certify rank"):
-        table.over(GF2)
+    with pytest.raises(HomologyAuditError, match=r"over GF\(2\) .* certify rank"):
+        betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF3)
     assert private_audit["failures"] == 1
 
 
@@ -369,14 +377,17 @@ def test_cross_field_verify_collapses_once_and_ranks_per_field(monkeypatch):
 
 def test_audit_rejects_a_low_rank_on_a_fallback_matrix(monkeypatch, private_audit):
     # one less on the projective plane's -2-pivot matrix would give GF(3)
-    # the GF(2) table: the Euler audits cancel it and beta_1 cannot see it
+    # and Q the GF(2) table: the Euler audits cancel it and beta_1 cannot see it
     table = betti_table_ideal(SquareFreeIdeal.make(6, RP2_NON_FACES), GF2)
-    monkeypatch.setattr(tconnect.homology, "rank_mod_p", off_by_one(tconnect.homology.rank_mod_p))
-    with pytest.raises(HomologyAuditError,
-                       match=r"W=\(1, 2, 3, 4, 5, 6\) has boundary rank 4 over GF\(3\) in degree 2, "
-                             "but a dense elimination gives 5"):
-        table.over(GF3)
-    assert private_audit["failures"] == 1
+    for failures, (fld, rank) in enumerate([(GF3, "rank_mod_p"), (QQ, "rank_rationals")], 1):
+        with monkeypatch.context() as m:
+            m.setattr(tconnect.homology, rank, off_by_one(getattr(tconnect.homology, rank)))
+            with pytest.raises(HomologyAuditError,
+                               match=rf"W=\(1, 2, 3, 4, 5, 6\) has boundary rank 4 over "
+                                     rf"{re.escape(fld.label())} in degree 2, "
+                                     "but a dense elimination gives 5"):
+                table.over(fld)
+        assert private_audit["failures"] == failures
 
 
 def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypatch):
@@ -393,11 +404,14 @@ def test_cross_field_ranks_fall_back_per_field_on_the_projective_plane(monkeypat
     assert table.entries == brute_betti_table(gens_vertices(ideal), 6, 2) != over_q.entries
 
 
-def test_gf2_only_tables_run_no_certificate(monkeypatch):
-    calls = count_calls(monkeypatch, RANKS)
+def test_gf2_only_tables_rank_each_matrix_once_by_its_certificate(monkeypatch):
+    # GF(2) takes the +-1-pivot rank like every field, and the GF(2) rank
+    # of each matrix is its one check: no dense elimination runs
+    calls = count_calls(monkeypatch, RANKS + ("_dense_rank",))
     report = verify_graph(fig1_prefix(), 2, GF2)
-    assert calls["rank_gf2"] == 13 and calls["rank_unimodular"] == 0
-    assert report.oracle_counts["ranked_once"] == report.oracle_counts["ranked_per_field"] == 0
+    assert calls == {"rank_unimodular": 13, "rank_gf2": 13}
+    assert report.oracle_counts["ranked_once"] == 13
+    assert report.oracle_counts["ranked_per_field"] == 0
 
 
 def test_audit_rejects_a_wrong_strong_collapse(monkeypatch, private_audit):

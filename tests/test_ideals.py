@@ -263,6 +263,9 @@ def test_containing_matches_the_per_generator_test():
         for s in (m, m & rng.getrandbits(i.n), rng.choice(i.gens or (0,))):
             want = sum(1 << j for j, g in enumerate(i.gens) if g & s == s)
             assert i.containing(s) == want, (i, s)
+            # meeting is the OR of the same rows: the generators sharing a vertex with s
+            want = sum(1 << j for j, g in enumerate(i.gens) if g & s)
+            assert i.meeting(s) == want, (i, s)
 
 
 def test_colon_comma_exchange_random():
