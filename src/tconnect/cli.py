@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .decomposition import (
     FIG1_X5_T4_WORKED_ORDER,
@@ -208,7 +209,9 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--path", help="edge-list file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built once per process."""
     parser = argparse.ArgumentParser(prog="tconnect", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, SearchSpaceError, ResourceLimitError) as exc:

@@ -7,17 +7,20 @@ masks, so time follows the output rather than C(n, t) and memory holds
 only the t-sets; more than ``CANDIDATE_CAP`` of them raise
 ``SearchSpaceError`` before any use),
 chordality certificates (Lex-BFS + perfect elimination check),
-simplicial vertices, and a seeded random chordal generator.
+simplicial vertices, the smallest and largest facet of the
+t-independence complex of a chordal graph (one pass over its elimination
+tree, ``independence_extremes``), and a seeded random chordal generator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .bitset import bit, iter_bits, vertices_of
+from .bitset import bit, iter_bits, mask_of, vertices_of
 
 
 class GraphParseError(ValueError):
@@ -378,6 +381,154 @@ def simplicial_vertices(g: Graph) -> tuple[int, ...]:
         if all(nv & ~g.adj[u - 1] & ~bit(u) == 0 for u in iter_bits(nv)):
             out.append(v)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Facets of the t-independence complex
+
+
+@lru_cache(maxsize=1024)
+def bag_choices(weights: tuple[int, ...], top: int) -> int:
+    """The number of count vectors k with 0 <= k_i <= weights[i] and sum <= top."""
+    ways = [1] + [0] * top  # ways[s]: the vectors so far that sum to s
+    for w in weights:
+        ways = [sum(ways[max(0, s - w):s + 1]) for s in range(top + 1)]
+    return sum(ways)
+
+
+@lru_cache(maxsize=1024)
+def _choices(weights: tuple[int, ...], top: int) -> tuple[tuple[int, ...], ...]:
+    """The count vectors that ``bag_choices`` counts."""
+    out: list[tuple[int, ...]] = [()]
+    for w in reversed(weights):
+        out = [(k, *rest) for rest in out for k in range(min(w, top - sum(rest)) + 1)]
+    return tuple(out)
+
+
+def independence_extremes(g: Graph, t: int, peo: Sequence[int]) -> tuple[int, int, int] | None:
+    """(smallest, largest, states) for a chordal G with perfect elimination
+    ordering ``peo``: the least and the largest size of a facet of Ind_t(G),
+    and the number of table entries kept; None, with no table built, when
+    the bag choices number more than ``CANDIDATE_CAP``.
+
+    A facet is a maximal A with no connected t-set: every component of G[A]
+    has at most t - 1 vertices, and every v outside A has a load (the
+    vertices of the components of G[A] beside it) of at least t - 1.  The
+    minimal covers of J_t(G) are the complements of the facets, so the
+    height is n - largest and the big height n - smallest.
+
+    True twins (equal closed neighbourhoods) are merged into one class of
+    their count; the classes form a chordal graph, and ``peo`` restricted
+    to their representatives is a perfect elimination ordering of it.  A
+    class v has the bag {v} + its later neighbours L(v), a clique, and its
+    parent is the earliest of them.  Every neighbour of v's subtree outside
+    it lies in L(v), so one bottom-up pass over that elimination tree
+    decides A.  The table of v is keyed by a state on L(v):
+    - the chosen count of each class of L(v), at most t - 1 in all, since
+      the chosen vertices of a clique lie in one component;
+    - ``inner``: the chosen vertices below v in the component through the
+      chosen ones of L(v), at most t - 1 with them;
+    - the loads of the classes of L(v) with nothing chosen, from the
+      finished components below v (capped at t - 1), placed as in the
+      parent's bag;
+    - ``need``: the least final size of the component through L(v) that
+      the unchosen vertices below v still need.
+    Its values are the (least, largest) count of chosen vertices below v.
+    A class v is forgotten at its own bag.  An unchosen vertex of v needs
+    t - 1 - its load from the component through the bag; a partly chosen
+    class has load 0, as its finished neighbours would join its chosen
+    twins, so it needs t - 1.  When no class of L(v) is chosen, the
+    component through the bag is finished: it must meet ``need``, and its
+    size joins the load of every class of L(v).  The bag choices are
+    counted, against ``CANDIDATE_CAP``, before any table is built.
+    """
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    top = t - 1
+    rep_of: dict[int, int] = {}
+    weight: dict[int, int] = {}  # representatives in ``peo`` order
+    for v in peo:
+        r = rep_of.setdefault(g.adj[v - 1] | bit(v), v)
+        weight[r] = weight.get(r, 0) + 1
+    reps = list(weight)
+    pos = {v: i for i, v in enumerate(reps)}
+    every = mask_of(reps)
+    bags = {v: (v, *sorted((u for u in iter_bits(g.adj[v - 1] & every) if pos[u] > pos[v]),
+                           key=pos.__getitem__)) for v in reps}
+    bag_weights = {v: tuple(map(weight.__getitem__, bag)) for v, bag in bags.items()}
+    if sum(bag_choices(ws, top) for ws in bag_weights.values()) > CANDIDATE_CAP:
+        return None
+    kids: dict[int, list[int]] = {v: [] for v in reps}
+    place: dict[int, tuple[int, ...]] = {}  # where L(v) sits in the parent's bag
+    for v in reps:
+        if len(bags[v]) > 1:
+            above = bags[v][1]
+            kids[above].append(v)
+            place[v] = tuple(map(bags[above].index, bags[v][1:]))
+    tables: dict[int, dict] = {}
+    smallest = largest = states = 0
+    for p in reps:
+        children = [(tables.pop(c), place[c]) for c in kids[p]]
+        slots = place.get(p, ())
+        width = len(bags[bags[p][1]]) if slots else 0
+        wp = weight[p]
+        table: dict[tuple[int, ...], dict] = {}
+        for kappa in _choices(bag_weights[p], top):
+            kp, total = kappa[0], sum(kappa)
+            room = top - total
+            if children:
+                (child, idx), *others = children
+                partial = child.get(tuple([kappa[i] for i in idx]), {})
+                for child, idx in others:
+                    partial = _merge(partial, child.get(tuple([kappa[i] for i in idx]), {}),
+                                     room, top)
+            else:
+                partial = {(0, 0, (0,) * len(kappa)): (0, 0)}
+            out = table.setdefault(kappa[1:], {})
+            for (inner, need, loads), (lo, hi) in partial.items():
+                if inner > room:
+                    continue
+                if kp < wp:
+                    need = max(need, top - loads[0])
+                size = inner + kp
+                if total > kp:
+                    key, outer = (size, need), loads[1:]
+                elif size < need:
+                    continue
+                else:
+                    key, outer = (0, 0), [min(top, x + size) for x in loads[1:]]
+                placed = [0] * width
+                for i, x in zip(slots, outer):
+                    placed[i] = x
+                key += (tuple(placed),)
+                old = out.get(key)
+                lo, hi = lo + kp, hi + kp
+                out[key] = (lo, hi) if old is None else (min(old[0], lo), max(old[1], hi))
+        states += sum(map(len, table.values()))
+        if p in place:
+            tables[p] = table
+        else:  # a root: its one state holds its component's extremes
+            ((lo, hi),) = table[()].values()
+            smallest += lo
+            largest += hi
+    return smallest, largest, states
+
+
+def _merge(partial: dict, entries: dict, room: int, top: int) -> dict:
+    """A child's entries joined to the partial states of its parent's bag;
+    ``room`` bounds the chosen vertices below the bag in its component."""
+    out: dict = {}
+    for (inner, need, loads), (lo, hi) in partial.items():
+        for (c_inner, c_need, c_loads), (c_lo, c_hi) in entries.items():
+            size = inner + c_inner
+            if size > room:
+                continue
+            key = (size, max(need, c_need),
+                   tuple([min(top, a + b) for a, b in zip(loads, c_loads)]))
+            lo2, hi2 = lo + c_lo, hi + c_hi
+            old = out.get(key)
+            out[key] = (lo2, hi2) if old is None else (min(old[0], lo2), max(old[1], hi2))
+    return out
 
 
 # ---------------------------------------------------------------------------

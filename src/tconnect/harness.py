@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .graphs import Graph, chordality, random_chordal
+from .graphs import Graph, chordality, independence_extremes, random_chordal
 from .homology import (
     Field,
     GF2,
@@ -40,7 +40,7 @@ class Predictions:
     predicted_linear: bool | None
     predicted_cm: bool | None
     ideal: SquareFreeIdeal = dc_field(compare=False, repr=False)
-    cover_counts: dict = dc_field(compare=False, repr=False)  # minimal covers and search nodes
+    cover_counts: dict = dc_field(compare=False, repr=False)  # the search for height and bight, and its size
     nu_counts: dict = dc_field(compare=False, repr=False)  # nu_t's method and candidates
 
     def to_json_dict(self) -> dict:
@@ -62,22 +62,37 @@ class Predictions:
 def predict(g: Graph, t: int) -> Predictions:
     """Combinatorial side only: no homology is computed.
 
-    The equality predictions apply to chordal graphs; on other graphs
-    they are reported as not-applicable (None).
+    Height, big height and unmixedness come, on a chordal graph, from the
+    smallest and largest facet of Ind_t(G) (``independence_extremes``,
+    one pass over the elimination tree of the perfect elimination
+    ordering), and otherwise, or over its bag-choice cap, from the
+    minimal covers (``SquareFreeIdeal.cover_stats``).  The ideal, and so
+    the cap on its connected t-sets, comes first.  The equality
+    predictions apply to chordal graphs; on other graphs they are
+    reported as not-applicable (None).
     """
     ideal = t_connected_ideal(g, t)
-    stats = ideal.cover_stats()
-    chordal = chordality(g).is_chordal
+    cert = chordality(g)
+    chordal = cert.is_chordal
+    extremes = independence_extremes(g, t, cert.peo) if chordal else None
+    if extremes is None:
+        stats = ideal.cover_stats()
+        height, bight = stats.height, stats.bight
+        covers = {"method": "mmcs", "minimal": len(stats.masks), "nodes": stats.nodes}
+    else:
+        smallest, largest, states = extremes
+        height, bight = g.n - largest, g.n - smallest
+        covers = {"method": "elimination-tree", "states": states}
+    unmixed = height == bight
     matching = nu_t(g, t)
     nu = matching.value
     if chordal:
-        pred = ((t - 1) * nu, stats.bight, nu == 1 if not ideal.is_zero else None, stats.unmixed)
+        pred = ((t - 1) * nu, bight, nu == 1 if not ideal.is_zero else None, unmixed)
     else:
         pred = (None, None, None, None)
     return Predictions(
-        t, chordal, nu, stats.height, stats.bight, stats.unmixed,
-        ideal.is_zero, *pred, ideal,
-        {"minimal": len(stats.masks), "nodes": stats.nodes},
+        t, chordal, nu, height, bight, unmixed,
+        ideal.is_zero, *pred, ideal, covers,
         {"method": matching.method, "candidates": matching.candidates},
     )
 

@@ -7,7 +7,11 @@ equal ideals compare equal structurally (the constructor rejects any
 other order).  The zero ideal has no generators.
 
 Minimal primes are the minimal vertex covers (transversals) of the
-generator hypergraph; height/big height/unmixedness derive from them.
+generator hypergraph; height/big height/unmixedness derive from them
+(``cover_stats``).  ``harness.predict`` lists the covers only off chordal
+graphs, or over the bag-choice cap: on a chordal graph the covers are
+the complements of the facets of Ind_t(G), and it takes the smallest and
+largest facet from ``graphs.independence_extremes``.
 Both the covers and the antichains are computed from per-vertex
 incidence bitsets (``bitset.incidence_rows``, one transpose of the
 generator masks with no per-bit loop), never by comparing a set against
@@ -23,8 +27,8 @@ every kept one:
   k's vertices, the rows built over the supports tested: one AND per
   vertex of each kept support, whatever the number of supports (they are
   walked by size and tested against the smaller kept ones).
-  An ideal built from supports, a sum (the union of both antichains) and
-  an intersection (the pairwise lcms) are minimalised this way.
+  An ideal built from supports and a sum (the union of both antichains)
+  are minimalised this way.
   Intersecting with a monomial prime <x_v : v in P> needs less: a
   generator meeting P stays, and one avoiding P times x_w (w in P) is
   dropped only when it contains a kept generator meeting P in w alone,
@@ -92,19 +96,11 @@ class SquareFreeIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def _check_ambient(self, other: "SquareFreeIdeal") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
-
     def add(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         """Sum of two ideals: the minimal supports of both generating sets."""
-        self._check_ambient(other)
+        if self.n != other.n:
+            raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
         return SquareFreeIdeal(self.n, minimalize_masks(self.gens + other.gens))
-
-    def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
-        self._check_ambient(other)
-        lcms = [a | b for a in self.gens for b in other.gens]
-        return SquareFreeIdeal(self.n, minimalize_masks(lcms))
 
     def intersect_variables(self, support: int | Iterable[int]) -> "SquareFreeIdeal":
         """I ∩ <x_v : v in support>, with no generic prune.

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import tconnect
-from tconnect.cli import main
-from tconnect.graphs import chordality, fixture, parse_graph
+from tconnect.cli import build_parser, main
+from tconnect.graphs import chordality, fixture, independence_extremes, parse_graph
 from tconnect.homology import GF2, betti_table_ideal
 from tconnect.ideals import t_connected_ideal
 
@@ -51,6 +51,16 @@ def test_analyze_over_the_candidate_cap_exit2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "50 connected 4-subsets exceed the cap of 49" in captured.err
+
+
+def test_main_keeps_one_parser_through_a_bad_argv(capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        main(["analyze", "--fixture", "path", "--t"])  # --t lacks its value
+    assert "expected one argument" in capsys.readouterr().err
+    assert build_parser() is parser
+    code, data = run_json(capsys, ["analyze", "--fixture", "path", "--param", "4", "--t", "3"])
+    assert code == 0 and (data["height"], data["bight"], data["nu_t"]) == (1, 2, 1)
 
 
 def test_analyze_from_file(tmp_path, capsys):
@@ -233,14 +243,29 @@ def test_verify_meta_reports_the_oracle_reduction(capsys):
 
 def test_verify_meta_reports_the_cover_search(monkeypatch, capsys):
     monkeypatch.delenv("SR_MAX_ORACLE_N", raising=False)
-    stats = t_connected_ideal(fixture("fig1"), 4).cover_stats()
+    g = fixture("fig1")
+    states = independence_extremes(g, 4, chordality(g).peo)[2]
     argv = ["verify", "--fixture", "fig1", "--t", "4"]  # n = 14: over the oracle cap
     code, data = run_json(capsys, argv)
     assert code == 0 and data["oracle_skipped"] and "oracle" not in data["meta"]
-    assert data["meta"]["covers"] == {"minimal": len(stats.covers), "nodes": stats.nodes}
+    assert data["meta"]["covers"] == {"method": "elimination-tree", "states": states} and states > 0
+    stats = t_connected_ideal(g, 4).cover_stats()
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 50)  # fig1's 50 t-sets; more bag choices
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["meta"]["covers"] == {"method": "mmcs", "minimal": len(stats.covers),
+                                                    "nodes": stats.nodes}
+    assert stats.nodes > len(stats.covers) > 0
+    monkeypatch.undo()
+    monkeypatch.delenv("SR_MAX_ORACLE_N", raising=False)
+    stats = t_connected_ideal(fixture("cycle", 6), 3).cover_stats()
+    code, data = run_json(capsys, ["verify", "--fixture", "cycle", "--param", "6", "--t", "3"])
+    assert code == 0 and data["meta"]["covers"] == {"method": "mmcs", "minimal": len(stats.covers),
+                                                    "nodes": stats.nodes}  # not chordal
     assert stats.nodes > len(stats.covers) > 0
     code, data = run_json(capsys, ["verify", "--fixture", "path", "--param", "2", "--t", "3"])
-    assert code == 0 and data["meta"]["covers"] == {"minimal": 0, "nodes": 0}  # zero ideal
+    assert code == 0 and data["meta"]["covers"] == {"method": "elimination-tree", "states": 1}
+    code, data = run_json(capsys, ["verify", "--fixture", "cycle", "--param", "4", "--t", "5"])
+    assert code == 0 and data["meta"]["covers"] == {"method": "mmcs", "minimal": 0, "nodes": 0}
 
 
 def test_verify_meta_reports_the_matching_search(monkeypatch, capsys):

@@ -15,7 +15,15 @@ from tconnect.decomposition import (
 )
 from tconnect.graphs import fixture, induced_subgraph, random_chordal, simplicial_vertices
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
-from util import brute_minimalize, gens_vertices, lcm_l_ideal, neighborhood, neighbors, variables_ideal
+from util import (
+    brute_minimalize,
+    gens_vertices,
+    intersect,
+    lcm_l_ideal,
+    neighborhood,
+    neighbors,
+    variables_ideal,
+)
 
 FIG1 = fixture("fig1")
 
@@ -177,7 +185,7 @@ def test_ledger_intersections_match_the_pairwise_lcms():
     entries = 0
     for g, x, t in cases:
         for e in ledger(g, x, t).entries:
-            assert e.jk_ideal == e.j_ideal.intersect(e.k_ideal), (g.n, x, t, e.c)
+            assert e.jk_ideal == intersect(e.j_ideal, e.k_ideal), (g.n, x, t, e.c)
             entries += 1
     assert entries > 500
 
@@ -329,7 +337,7 @@ def test_fault_intersection_identity_drops_k_generator(monkeypatch):
             if m not in e.k_ideal.gens or not m & mask_of(neighborhood(FIG1, e.c, closed=True)):
                 continue
             k_bad = SquareFreeIdeal(e.k_ideal.n, tuple(k for k in e.k_ideal.gens if k != m))
-            if e.j_ideal.intersect(k_bad) != e.j_ideal.intersect(e.k_ideal):
+            if intersect(e.j_ideal, k_bad) != intersect(e.j_ideal, e.k_ideal):
                 hit.add((i, None))
         if hit:
             report = verify_identities(_ledger_without(monkeypatch, FIG1, 5, 4, m))
@@ -355,7 +363,7 @@ def test_fault_intersection_identity_on_the_prime_intersection(monkeypatch, faul
     monkeypatch.setattr(SquareFreeIdeal, "intersect_variables", faulty)
     led = ledger(FIG1, 5, 4)
     wrong = {(i, None) for i, e in enumerate(led.entries, start=1)
-             if e.jk_ideal != e.j_ideal.intersect(e.k_ideal)}
+             if e.jk_ideal != intersect(e.j_ideal, e.k_ideal)}
     assert wrong
     assert _failed(verify_identities(led), "3.5(2a)") == wrong
 

@@ -1,26 +1,31 @@
 import random
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 
+import tconnect.graphs
 from tconnect.bitset import mask_of, vertices_of
 from tconnect.graphs import (
     FIG1_EDGES,
     Graph,
     GraphParseError,
+    bag_choices,
     chordality,
     connected_masks,
     connected_subsets,
     fixture,
     format_graph,
     graph_from_edges,
+    independence_extremes,
     induced_subgraph,
     neighborhood_mask,
     parse_graph,
     random_chordal,
     simplicial_vertices,
 )
+from tconnect.ideals import t_connected_ideal
 from util import (
     brute_connected_subsets,
     degree,
@@ -382,3 +387,90 @@ def test_empty_graph_edge_cases():
     cert = chordality(g)
     assert cert.is_chordal and cert.peo == ()
     assert connected_subsets(g, 1) == []
+
+
+# -- facets of the t-independence complex ---------------------------------------
+
+
+def cover_extremes(g, t):
+    """(height, bight) from every minimal cover of J_t(G)."""
+    stats = t_connected_ideal(g, t).cover_stats()
+    return stats.height, stats.bight
+
+
+def dp_extremes(g, t, peo=None):
+    """(height, bight) from the elimination-tree DP's smallest and largest facet."""
+    smallest, largest, _ = independence_extremes(g, t, peo or chordality(g).peo)
+    return g.n - largest, g.n - smallest
+
+
+def test_bag_choices_counts_the_bounded_vectors():
+    for weights in [(), (1,), (3,), (1, 1, 1), (2, 1, 4), (5, 5)]:
+        for top in range(5):
+            brute = sum(1 for k in product(*(range(w + 1) for w in weights)) if sum(k) <= top)
+            assert bag_choices(weights, top) == brute, (weights, top)
+
+
+def test_independence_extremes_match_the_covers_on_a_seeded_corpus():
+    rng = random.Random(7)
+    items = 0
+    for seed in range(940):
+        g = random_chordal(rng.randint(1, 13), seed, rng.randint(2, 5))
+        for t in range(2, 7):
+            assert dp_extremes(g, t) == cover_extremes(g, t), (g.n, seed, t)
+            items += 1
+    for seed in range(60):
+        g = random_chordal(16, seed, 6)
+        for t in range(2, 8):
+            assert dp_extremes(g, t) == cover_extremes(g, t), (seed, t)
+            items += 1
+    assert items == 5060
+
+
+def test_independence_extremes_take_any_perfect_elimination_ordering():
+    # random_chordal joins each new vertex to a clique of the earlier ones,
+    # so the reversed insertion order is a perfect elimination ordering too
+    for seed in range(40):
+        g = random_chordal(12, seed, 4)
+        for t in (2, 3, 4):
+            assert dp_extremes(g, t, tuple(range(g.n, 0, -1))) == dp_extremes(g, t), (seed, t)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("complete", (7,)), ("complete_minus_edge", (7,)), ("clique_star", (3, 2)),
+    ("clique_star", (4, 2)), ("fig1", ()),
+])
+def test_independence_extremes_match_the_covers_on_the_fixtures_at_every_t(name, params):
+    g = fixture(name, *params)
+    for t in range(2, g.n + 2):
+        assert dp_extremes(g, t) == cover_extremes(g, t), t
+
+
+def test_independence_extremes_on_isolated_vertices_and_the_zero_ideal():
+    g = disjoint_union(disjoint_union(fixture("path", 4), Graph(2, (0, 0))), fixture("complete", 3))
+    for t in range(2, 6):
+        assert dp_extremes(g, t) == cover_extremes(g, t), t
+    assert dp_extremes(g, 5) == (0, 0)  # no component has 5 vertices
+    assert dp_extremes(Graph(3, (0, 0, 0)), 2) == (0, 0)
+
+
+def test_independence_extremes_on_a_long_path_and_a_large_clique():
+    start = time.perf_counter()
+    assert dp_extremes(fixture("path", 40), 3) == (13, 20)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert dp_extremes(fixture("complete", 20), 15) == (6, 6)  # one class of 20 twins
+    assert time.perf_counter() - start < 0.5
+
+
+def test_independence_extremes_count_the_bag_choices_before_any_table(monkeypatch):
+    def no_tables(weights, top):
+        raise AssertionError("a table was built over the bag-choice cap")
+
+    g = fixture("path", 40)  # no twins: 39 bags of two vertices and the root's of one
+    peo = chordality(g).peo
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 39 * 4 + 2)
+    assert independence_extremes(g, 3, peo)[:2] == (20, 27)
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 39 * 4 + 1)
+    monkeypatch.setattr(tconnect.graphs, "_choices", no_tables)
+    assert independence_extremes(g, 3, peo) is None

@@ -3,7 +3,8 @@ import json
 import pytest
 
 import tconnect.graphs
-from tconnect.graphs import SearchSpaceError, fixture
+import tconnect.harness
+from tconnect.graphs import SearchSpaceError, chordality, fixture, independence_extremes
 from tconnect.harness import (
     CorpusConfig,
     batch_verify,
@@ -12,7 +13,7 @@ from tconnect.harness import (
     verify_graph,
 )
 from tconnect.homology import GF2, GF3, QQ
-from tconnect.ideals import SquareFreeIdeal
+from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 
 
 def verdict_map(report):
@@ -45,13 +46,29 @@ def test_predict_nonchordal_not_applicable():
 
 
 def test_predict_checks_the_candidate_cap_before_the_covers(monkeypatch):
-    def no_covers(ideal):
-        raise AssertionError("cover_stats ran over the candidate cap")
+    def no_covers(*args):
+        raise AssertionError("a cover search ran over the candidate cap")
 
     monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 49)
     monkeypatch.setattr(SquareFreeIdeal, "cover_stats", no_covers)
+    monkeypatch.setattr(tconnect.harness, "independence_extremes", no_covers)  # fig1 is chordal
     with pytest.raises(SearchSpaceError, match="^50 connected 4-subsets exceed the cap of 49$"):
         predict(fixture("fig1"), 4)
+
+
+def test_predict_takes_the_elimination_tree_on_chordal_graphs_and_mmcs_elsewhere(monkeypatch):
+    g = fixture("fig1")
+    stats = t_connected_ideal(g, 4).cover_stats()
+    p = predict(g, 4)
+    assert p.cover_counts == {"method": "elimination-tree",
+                              "states": independence_extremes(g, 4, chordality(g).peo)[2]}
+    assert (p.height, p.bight, p.unmixed) == (stats.height, stats.bight, stats.unmixed) == (5, 8, False)
+    monkeypatch.setattr(tconnect.graphs, "CANDIDATE_CAP", 50)  # the 50 t-sets, not the bag choices
+    over = predict(g, 4)
+    assert over.cover_counts == {"method": "mmcs", "minimal": len(stats.masks), "nodes": stats.nodes}
+    assert over == p
+    cycle = predict(fixture("cycle", 5), 3)
+    assert cycle.cover_counts["method"] == "mmcs" and (cycle.height, cycle.bight) == (2, 2)
 
 
 def test_predict_zero_ideal():

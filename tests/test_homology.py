@@ -29,6 +29,7 @@ from util import (
     brute_non_cone_count,
     gens_vertices,
     hypergraph_induced_matching,
+    intersect,
     random_antichain_ideal,
     random_graph,
     shift_ideal,
@@ -755,7 +756,7 @@ def test_reg_pd_bounds_for_sums():
         tj = betti_table_ideal(j, GF2)
         tk = betti_table_ideal(k, GF2)
         tsum = betti_table_ideal(j.add(k), GF2)
-        tint = betti_table_ideal(j.intersect(k), GF2)
+        tint = betti_table_ideal(intersect(j, k), GF2)
         assert tsum.reg() <= max(tj.reg(), tk.reg(), tint.reg() - 1)
         assert tsum.pd() <= max(tj.pd(), tk.pd(), tint.pd() + 1)
 

@@ -25,6 +25,7 @@ from util import (
     brute_minimalize,
     disjoint_union,
     gens_vertices,
+    intersect,
     neighborhood,
     random_antichain_ideal,
     random_graph,
@@ -160,17 +161,17 @@ def test_add_peeling_top_identity():
 
 
 def test_intersect_single_pair():
-    assert gens_vertices(ideal(4, [1, 2, 3]).intersect(ideal(4, [2, 3, 4]))) == ((1, 2, 3, 4),)
+    assert gens_vertices(intersect(ideal(4, [1, 2, 3]), ideal(4, [2, 3, 4]))) == ((1, 2, 3, 4),)
 
 
 def test_intersect_full_support():
     i = ideal(4, [1, 2], [2, 4])
     full = ideal(4, [1, 2, 3, 4])
-    assert i.intersect(full) == full
+    assert intersect(i, full) == full
 
 
 def test_intersect_zero():
-    assert ideal(4, [1, 2]).intersect(SquareFreeIdeal.zero(4)).is_zero
+    assert intersect(ideal(4, [1, 2]), SquareFreeIdeal.zero(4)).is_zero
 
 
 def test_intersect_variables_matches_the_pairwise_lcms():
@@ -183,7 +184,7 @@ def test_intersect_variables_matches_the_pairwise_lcms():
         i = SquareFreeIdeal.make(n, random_masks(rng, n, rng.randint(0, 20)))
         cases.append((i, rng.choice([0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)])))
     for i, p in cases:
-        assert i.intersect_variables(p) == i.intersect(variables_ideal(i.n, vertices_of(p))), (i, p)
+        assert i.intersect_variables(p) == intersect(i, variables_ideal(i.n, vertices_of(p))), (i, p)
 
 
 def test_intersect_variables_builds_a_peeling_intersection():
@@ -195,7 +196,7 @@ def test_intersect_variables_builds_a_peeling_intersection():
         c = rng.getrandbits(n)
         b = rng.getrandbits(n) & ~c
         j = variables_ideal(n, vertices_of(b)).scale(c)
-        assert k.colon(c).intersect_variables(b).scale(c) == j.intersect(k), (k, c, b)
+        assert k.colon(c).intersect_variables(b).scale(c) == intersect(j, k), (k, c, b)
 
 
 def test_colon_variable():
@@ -287,7 +288,7 @@ def test_absorption():
         n = rng.randint(1, 7)
         i = random_antichain_ideal(rng, n)
         j = random_antichain_ideal(rng, n)
-        assert i.add(i.intersect(j)) == i
+        assert i.add(intersect(i, j)) == i
 
 
 def test_intersection_distributes_over_sum():
@@ -295,7 +296,7 @@ def test_intersection_distributes_over_sum():
     for _ in range(50):
         n = rng.randint(1, 7)
         i, j, k = (random_antichain_ideal(rng, n) for _ in range(3))
-        assert i.intersect(j.add(k)) == i.intersect(j).add(i.intersect(k))
+        assert intersect(i, j.add(k)) == intersect(i, j).add(intersect(i, k))
 
 
 def test_scale_requires_disjoint():

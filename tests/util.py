@@ -386,6 +386,13 @@ def variables_ideal(n, vs):
     return SquareFreeIdeal.make(n, [[v] for v in vs])
 
 
+def intersect(i, j):
+    """I ∩ J of two ideals in one ambient ring: the pairwise lcms, minimalized."""
+    from tconnect.ideals import SquareFreeIdeal, minimalize_masks
+
+    return SquareFreeIdeal(i.n, minimalize_masks(a | b for a in i.gens for b in j.gens))
+
+
 def lcm_l_ideal(n, c, j_ideal, k_ideal):
     """The paper's L_i: <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>, minimalized."""
     from tconnect.ideals import SquareFreeIdeal
