@@ -15,24 +15,32 @@ J_i, R_i(w) and L_i come from the graph; the intersection of J_i and K_i
 is built once, from the K side: B_i misses C_i, so J_i = <x_{C_i}> ∩ <B_i>
 and J_i ∩ K_i = x_{C_i} * ((K_i : x_{C_i}) ∩ <B_i>), one colon and one
 intersection with a monomial prime (``SquareFreeIdeal.intersect_variables``),
-never L_i, and the zero ideal when B_i is empty.  K_i is kept as the set of
-indices of the full ideal's generators it holds, so each K_i drops the
-generators containing C_i with one AND of the full ideal's incidence rows,
-and its colon is taken on those rows (``SquareFreeIdeal.colon_within``):
-one transpose per ledger, none per K_i.  Each Q_i(w) is the generators
-outside one OR of the same rows (``SquareFreeIdeal.meeting``).  The
-paper's L_i is <lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of
-those generators holds its own w in B_i, so that ideal is the sum of
-x_w * (L_i : x_w), and it equals the L_i above wherever every colon
-identity (L_i : x_w) = R_i(w) holds.  The verify functions only compare:
-J_i + K_i with K_{i-1}, the intersection with x_{C_i} * L_i, each
-(L_i : x_w) with R_i(w), and, at indices whose closed neighborhood
-dominates the whole graph, the intersection with its quadratic closed
-form.  Reports list one record per identity.
+never L_i, and the zero ideal when B_i is empty.  K_i is kept on its entry
+as ``live``, the set of indices of the full ideal's generators it holds, and
+its tuple is built only when read (``LedgerEntry.k_ideal``).  So each K_i
+drops the generators containing C_i with one AND of the full ideal's
+incidence rows, and its colon is taken on those rows
+(``SquareFreeIdeal.colon_within``): one transpose per ledger, none per K_i.
+Each Q_i(w) is the generators outside one OR of the same rows
+(``SquareFreeIdeal.meeting``).  The paper's L_i is
+<lcm(m, m') / x_{C_i} : m in J_i, m' in K_i>; each of those generators holds
+its own w in B_i, so that ideal is the sum of x_w * (L_i : x_w), and it
+equals the L_i above wherever every colon identity (L_i : x_w) = R_i(w)
+holds.  The verify functions only compare: J_i + K_i with K_{i-1}, the
+intersection with x_{C_i} * L_i, each (L_i : x_w) with R_i(w), and, at
+indices whose closed neighborhood dominates the whole graph, the
+intersection with its quadratic closed form.  The sum is never built
+unless it fails: as K_i and K_{i-1} are sub-families of one antichain,
+J_i + K_i = K_{i-1} exactly when K_i's indices lie inside K_{i-1}'s, every
+generator of J_i has a divisor among K_{i-1}'s, and each of the about
+|B_i| generators of K_{i-1} outside K_i is divisible by a generator of J_i
+(``_sum_holds``); with B_i empty, exactly when K_i's indices are K_{i-1}'s.
+Reports list one record per identity.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
@@ -92,10 +100,16 @@ class LedgerEntry:
     c: tuple[int, ...]
     b: tuple[int, ...]
     j_ideal: SquareFreeIdeal
-    k_ideal: SquareFreeIdeal
+    base: SquareFreeIdeal = dc_field(repr=False)  # K_0, whose generators ``live`` indexes
+    live: int  # K_i: the indices of base's generators it keeps
     jk_ideal: SquareFreeIdeal  # the intersection of J_i and K_i
     l_ideal: SquareFreeIdeal
     r_ideals: dict[int, SquareFreeIdeal]  # w in B_i -> R_i(w)
+
+    @property
+    def k_ideal(self) -> SquareFreeIdeal:
+        """K_i, built from ``live`` on each read."""
+        return SquareFreeIdeal(self.base.n, tuple(select(self.base.gens, self.live)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +140,6 @@ def ledger(
     for c, b in zip(cs, bs):
         cmask = mask_of(c)
         live &= ~base.containing(cmask)
-        k_ideal = SquareFreeIdeal(g.n, tuple(select(base.gens, live)))
         # C_i + w for ascending w is already a canonical antichain
         j_ideal = SquareFreeIdeal(g.n, tuple(cmask | bit(w) for w in b))
         open_c = neighborhood_mask(g, cmask)
@@ -150,7 +163,7 @@ def ledger(
             jk_ideal = base.colon_within(live, cmask).intersect_variables(mask_of(b)).scale(cmask)
         else:
             jk_ideal = SquareFreeIdeal.zero(g.n)
-        entries.append(LedgerEntry(c, b, j_ideal, k_ideal, jk_ideal, l_ideal, r_ideals))
+        entries.append(LedgerEntry(c, b, j_ideal, base, live, jk_ideal, l_ideal, r_ideals))
     return DecompositionLedger(g, x, t, base, tuple(entries))
 
 
@@ -204,29 +217,62 @@ def _mismatch_detail(lhs: SquareFreeIdeal, rhs: SquareFreeIdeal) -> str:
     return f"lhs-only {only_l}, rhs-only {only_r}"
 
 
+def _sum_holds(base: SquareFreeIdeal, j_gens: Sequence[int], live: int, prev: int) -> bool:
+    """J + K_i = K_{i-1}, for J generated by ``j_gens`` and K_i, K_{i-1} by
+    base's generators at the indices ``live`` and ``prev``, decided on base's rows.
+
+    Sub-families of the antichain base are antichains, and no two distinct
+    generators of base divide each other, so the sum is K_{i-1} exactly when
+    - ``live`` lies inside ``prev``: a generator of K_i lies in K_{i-1} only
+      if it is one of K_{i-1}'s generators;
+    - every j in J has a divisor in K_{i-1}: j itself, found by bisection
+      among base's sorted generators, or else an index of ``prev`` whose
+      generator meets no vertex outside j;
+    - every generator of K_{i-1} outside K_i, which no generator of K_i
+      divides, is divisible by some j.
+    """
+    if live & ~prev:
+        return False
+    gens = base.gens
+    every = (1 << base.n) - 1
+    for j in j_gens:
+        at = bisect_left(gens, j)
+        if at < len(gens) and gens[at] == j and prev >> at & 1:
+            continue
+        if not prev & ~base.meeting(every & ~j):
+            return False
+    return all(any(not j & ~h for j in j_gens) for h in select(gens, prev & ~live))
+
+
 def verify_identities(ledg: DecompositionLedger) -> DecompositionReport:
-    """Check the sum, intersection, and colon identities at every index."""
+    """Check the sum, intersection, and colon identities at every index.
+
+    The sum identity is decided on K_0's index sets (``_sum_holds``); the sum
+    and the K_i are built only to word a failure.
+    """
     report = DecompositionReport(
         ledg.x, ledg.t, tuple(e.c for e in ledg.entries), tuple(e.b for e in ledg.entries)
     )
+    live = (1 << len(ledg.base_ideal.gens)) - 1  # K_0 keeps every index
     for idx, entry in enumerate(ledg.entries, start=1):
-        prev = ledg.k_ideal(idx - 1)
+        prev, live = live, entry.live  # K_{i-1} and K_i as index sets
         if not entry.b:
-            ok = entry.k_ideal == prev
+            ok = live == prev
             report.records.append(
                 IdentityRecord(
                     "3.5(1)", idx, None, ok,
-                    "B empty; checked K_i == K_{i-1}" if ok else _mismatch_detail(entry.k_ideal, prev),
+                    "B empty; checked K_i == K_{i-1}" if ok
+                    else _mismatch_detail(entry.k_ideal, ledg.k_ideal(idx - 1)),
                 )
             )
             continue
         cmask = mask_of(entry.c)
-        lhs = entry.j_ideal.add(entry.k_ideal)
-        ok = lhs == prev
+        ok = _sum_holds(ledg.base_ideal, entry.j_ideal.gens, live, prev)
         report.records.append(
             IdentityRecord(
                 "3.5(1)", idx, None, ok,
-                "J_i + K_i == K_{i-1}" if ok else _mismatch_detail(lhs, prev),
+                "J_i + K_i == K_{i-1}" if ok
+                else _mismatch_detail(entry.j_ideal.add(entry.k_ideal), ledg.k_ideal(idx - 1)),
             )
         )
         inter = entry.jk_ideal

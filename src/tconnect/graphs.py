@@ -296,19 +296,90 @@ class ChordalityCertificate:
     witness_cycle: tuple[int, ...] | None
 
 
+class _Part:
+    """One class of the Lex-BFS partition: vertices of equal label, linked in
+    ascending order from ``head`` to ``tail`` (0 when empty), and linked to
+    the classes of larger (``before``) and smaller (``after``) label."""
+
+    __slots__ = ("head", "tail", "before", "after", "split")
+
+    def __init__(self, before: "_Part | None", after: "_Part | None") -> None:
+        self.head = self.tail = 0
+        self.before, self.after = before, after
+        self.split: _Part | None = None  # the class its neighbours move to this step
+
+
 def lex_bfs_order(g: Graph) -> list[int]:
-    """Lex-BFS visit order; ties broken toward the smallest vertex index."""
-    labels: dict[int, list[int]] = {v: [] for v in g.vertices()}
-    unvisited = set(g.vertices())
+    """Lex-BFS visit order; ties broken toward the smallest vertex index.
+
+    Partition refinement (Rose, Tarjan and Lueker 1976), O(n + m): the
+    unvisited vertices sit in classes of equal label, ordered by decreasing
+    label.  The next vertex is the head of the first class, the smallest
+    vertex of largest label.  Its unvisited neighbours, taken in ascending
+    order, move to the tail of a new class just before their own, so every
+    class stays in ascending order.
+    """
+    n = g.n
+    nxt = list(range(1, n + 1)) + [0]  # vertex links within a class; 0 ends a list
+    prv = list(range(-1, n))
+    first: _Part | None = _Part(None, None) if n else None
+    if first:
+        first.head, first.tail = 1, n
+    part = [first] * (n + 1)
+
+    def unlink(v: int) -> None:
+        cell = part[v]
+        if prv[v]:
+            nxt[prv[v]] = nxt[v]
+        else:
+            cell.head = nxt[v]
+        if nxt[v]:
+            prv[nxt[v]] = prv[v]
+        else:
+            cell.tail = prv[v]
+
+    def drop_if_empty(cell: _Part) -> None:
+        nonlocal first
+        if cell.head:
+            return
+        if cell.before:
+            cell.before.after = cell.after
+        else:
+            first = cell.after
+        if cell.after:
+            cell.after.before = cell.before
+
+    unvisited = g.vertex_mask
     order = []
-    for step in range(g.n):
-        v = max(unvisited, key=lambda u: (labels[u], -u))
-        unvisited.discard(v)
+    while first is not None:
+        v = first.head
+        unlink(v)
+        drop_if_empty(first)
         order.append(v)
-        stamp = g.n - step
-        for u in iter_bits(g.adj[v - 1]):
-            if u in unvisited:
-                labels[u].append(stamp)
+        unvisited &= ~bit(v)
+        touched = []
+        for u in iter_bits(g.adj[v - 1] & unvisited):
+            old = part[u]
+            new = old.split
+            if new is None:
+                new = old.split = _Part(old.before, old)
+                if old.before:
+                    old.before.after = new
+                else:
+                    first = new
+                old.before = new
+                touched.append(old)
+            unlink(u)
+            prv[u], nxt[u] = new.tail, 0
+            if new.tail:
+                nxt[new.tail] = u
+            else:
+                new.head = u
+            new.tail = u
+            part[u] = new
+        for old in touched:
+            old.split = None
+            drop_if_empty(old)
     return order
 
 

@@ -32,7 +32,8 @@ every kept one:
   Intersecting with a monomial prime <x_v : v in P> needs less: a
   generator meeting P stays, and one avoiding P times x_w (w in P) is
   dropped only when it contains a kept generator meeting P in w alone,
-  one test per w (``intersect_variables``);
+  one test per w on one transpose of the generators avoiding P
+  (``intersect_variables``);
 - the rows of I's own generators are transposed once per ideal and kept
   on it (``SquareFreeIdeal.incidence``).  The generators that contain a
   support are the AND of its vertices' rows (``containing``), and those
@@ -114,17 +115,24 @@ class SquareFreeIdeal:
         - g | x_w inside g' | x_w' forces w = w', since g' avoids P, and
           then g inside g', so g = g'.
         So g | x_w is redundant only when some h of S1 meets P in w alone
-        and h - w lies in g: one ``_not_above`` per w, against the stripped
-        h of that w, and the union needs no further prune.
+        and h - w lies in g.  The generators avoiding P are transposed once
+        (``bitset.incidence_rows``); for each w, those lying above a stripped
+        h - w are the AND of its vertices' rows, and the union needs no
+        further prune.
         """
         p = _as_mask(support)
         meets = [g for g in self.gens if g & p]
         avoids = [g for g in self.gens if not g & p]
         out = list(meets)
+        rows = incidence_rows(avoids)
+        every = (1 << len(avoids)) - 1
         for w in iter_bits(p):
             b = bit(w)
-            stripped = [h ^ b for h in meets if h & p == b]
-            out += [g | b for g in _not_above(stripped, avoids)]
+            above = 0
+            for h in meets:
+                if h & p == b:
+                    above |= _containing(rows, every, h ^ b)
+            out += [g | b for g in select(avoids, every & ~above)]
         return SquareFreeIdeal(self.n, tuple(sorted(out)))
 
     @cached_property

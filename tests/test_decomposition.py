@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from tconnect import decomposition, ideals
-from tconnect.bitset import bit, mask_of, select, vertices_of
+from tconnect.bitset import bit, iter_bits, mask_of, select, vertices_of
 from tconnect.decomposition import (
     FIG1_X5_T4_WORKED_ORDER,
     a_x_list,
@@ -230,7 +230,9 @@ def test_ledger_live_set_colon_matches_the_colon_of_k(monkeypatch):
 
 def test_ledger_and_identities_transpose_each_ideal_once(monkeypatch):
     # a count of transposes, not a time: the ledger reads every K_i colon off
-    # base's rows, and verify_identities reads each L_i's colons off its own
+    # base's rows, each prime intersection transposes the generators avoiding
+    # P once (not once per w in P), and verify_identities reads each L_i's
+    # colons off its own
     calls = []
     real = ideals.incidence_rows
 
@@ -238,16 +240,56 @@ def test_ledger_and_identities_transpose_each_ideal_once(monkeypatch):
         calls.append(tuple(masks))
         return real(masks)
 
+    per_intersection = []
+    real_iv = SquareFreeIdeal.intersect_variables
+
+    def intersecting(self, support):
+        before = len(calls)
+        out = real_iv(self, support)
+        per_intersection.append(len(calls) - before)
+        return out
+
     monkeypatch.setattr(ideals, "incidence_rows", counting)
+    monkeypatch.setattr(SquareFreeIdeal, "intersect_variables", intersecting)
     g = random_chordal(20, 35, 4)
     led = ledger(g, simplicial_vertices(g)[0], 5)
     assert calls.count(led.base_ideal.gens) == 1
     ks = {e.k_ideal.gens for e in led.entries} - {led.base_ideal.gens}
     assert ks and not ks & set(calls)
+    assert len(per_intersection) == sum(1 for e in led.entries if e.b) > 10
+    assert set(per_intersection) == {1}
     calls.clear()
     assert verify_identities(led).all_passed
     counts = [calls.count(e.l_ideal.gens) for e in led.entries if e.b]
     assert max(counts) == 1
+
+
+def test_ledger_and_identities_build_no_k_tuple_and_no_sum(monkeypatch):
+    # a count, not a time: the ledger keeps each K_i as an index set over
+    # K_0, and a passing 3.5(1) is decided on them, with no sum built
+    built = []
+    real_post = SquareFreeIdeal.__post_init__
+
+    def recording(self):
+        built.append(self.gens)
+        real_post(self)
+
+    adds = []
+    real_add = SquareFreeIdeal.add
+
+    def counting(self, other):
+        adds.append(other)
+        return real_add(self, other)
+
+    g = random_chordal(20, 35, 4)
+    with monkeypatch.context() as mp:
+        mp.setattr(SquareFreeIdeal, "__post_init__", recording)
+        led = ledger(g, simplicial_vertices(g)[0], 5)
+        mp.setattr(SquareFreeIdeal, "add", counting)
+        report = verify_identities(led)
+    assert report.all_passed and not adds
+    ks = {e.k_ideal.gens for e in led.entries} - {led.base_ideal.gens}
+    assert len(ks) > 10 and not ks & set(built)
 
 
 def test_identity_order_independence_of_endpoints():
@@ -366,6 +408,119 @@ def test_fault_intersection_identity_on_the_prime_intersection(monkeypatch, faul
              if e.jk_ideal != intersect(e.j_ideal, e.k_ideal)}
     assert wrong
     assert _failed(verify_identities(led), "3.5(2a)") == wrong
+
+
+def _with_live(led, i, keep=0, drop=0):
+    """The ledger whose K_j, for every j >= i, also keeps the generators at the
+    indices ``keep`` and loses those at ``drop``: a K chain that goes wrong at i."""
+    entries = list(led.entries)
+    for j in range(i - 1, len(entries)):
+        entries[j] = replace(entries[j], live=(entries[j].live | keep) & ~drop)
+    return replace(led, entries=tuple(entries))
+
+
+def _sum_by_add(led):
+    """The indices where 3.5(1) fails, by the generic sum of J_i and K_i."""
+    bad = set()
+    for i, e in enumerate(led.entries, start=1):
+        lhs = e.j_ideal.add(e.k_ideal) if e.b else e.k_ideal
+        if lhs != led.k_ideal(i - 1):
+            bad.add((i, None))
+    return bad
+
+
+FAULT_LEDGERS = [(FIG1, 5, t, None) for t in (3, 4, 5)] + [(FIG1, 5, 4, FIG1_X5_T4_WORKED_ORDER)]
+
+
+def test_fault_sum_identity_keeps_a_generator_above_c():
+    # K_i keeps a generator containing C_i that an earlier index claimed: no
+    # generator of K_{i-1} divides it, so 3.5(1) fails at i, and only at i
+    cases = 0
+    for g, x, t, order in FAULT_LEDGERS:
+        led = ledger(g, x, t, order)
+        base = led.base_ideal
+        prev = (1 << len(base.gens)) - 1
+        for i, e in enumerate(led.entries, start=1):
+            for j in iter_bits(base.containing(mask_of(e.c)) & ~prev):
+                bad = _with_live(led, i, keep=bit(j))
+                assert _failed(verify_identities(bad), "3.5(1)") == {(i, None)} == _sum_by_add(bad)
+                cases += 1
+            prev = e.live
+    assert cases > 20
+
+
+def test_fault_sum_identity_drops_a_generator_it_should_keep():
+    # K_i loses a generator of the last K, which contains no C_j: J_i does not
+    # divide it, so 3.5(1) fails at i, and only at i
+    cases = 0
+    for g, x, t, order in FAULT_LEDGERS:
+        led = ledger(g, x, t, order)
+        last = led.entries[-1].live
+        for i in range(1, len(led.entries) + 1):
+            for j in vertices_of(last)[::7]:
+                bad = _with_live(led, i, drop=bit(j))
+                assert _failed(verify_identities(bad), "3.5(1)") == {(i, None)} == _sum_by_add(bad)
+                cases += 1
+    assert cases > 50
+
+
+def test_fault_sum_identity_swaps_a_j_generator_for_a_multiple():
+    # J_i trades a generator m of K_{i-1} - K_i for m * x_v: every generator of
+    # J_i still lies in K_{i-1} and K_i inside K_{i-1}, so only the last clause,
+    # that J_i divides all of K_{i-1} - K_i, can reject it
+    cases = 0
+    for g, x, t, order in FAULT_LEDGERS:
+        led = ledger(g, x, t, order)
+        for i, e in enumerate(led.entries, start=1):
+            prev = set(led.k_ideal(i - 1).gens)
+            for m in e.j_ideal.gens:
+                for v in vertices_of(g.vertex_mask & ~m)[:3]:
+                    gens = tuple(sorted(set(e.j_ideal.gens) - {m} | {m | bit(v)}))
+                    assert all(any(k & ~h == 0 for k in prev) for h in gens)
+                    assert set(e.k_ideal.gens) <= prev
+                    bad = _with_entry(led, i, j_ideal=SquareFreeIdeal(g.n, gens))
+                    assert _failed(verify_identities(bad), "3.5(1)") == {(i, None)} == _sum_by_add(bad)
+                    cases += 1
+    assert cases > 100
+
+
+def test_sum_identity_matches_the_generic_sum_on_random_ledgers():
+    # the index-set decision of 3.5(1) against J_i.add(K_i) == K_{i-1}, on clean
+    # ledgers and on ones with random K chains and random J_i
+    rng = random.Random(2709)
+    clean = faulted = failing = 0
+    for seed in range(40):
+        g = random_chordal(rng.randint(3, 12), seed, rng.randint(2, 5))
+        x = simplicial_vertices(g)[0]
+        for t in range(2, 6):
+            led = ledger(g, x, t)
+            if not led.entries:
+                continue
+            variants = [led]
+            gens = led.base_ideal.gens
+            for _ in range(6):
+                i = rng.randint(1, len(led.entries))
+                e = led.entries[i - 1]
+                if rng.random() < 0.5 and gens:
+                    flip = bit(rng.randrange(len(gens)) + 1)
+                    variants.append(_with_entry(led, i, live=e.live ^ flip))
+                    variants.append(_with_live(led, i, keep=flip & ~e.live, drop=flip & e.live))
+                elif e.b:
+                    js = set(e.j_ideal.gens)
+                    js.symmetric_difference_update({rng.randrange(1, 1 << g.n) for _ in range(2)})
+                    if rng.random() < 0.5:
+                        js.discard(rng.choice(e.j_ideal.gens))
+                    variants.append(_with_entry(led, i, j_ideal=SquareFreeIdeal(g.n, tuple(sorted(js)))))
+            for k, v in enumerate(variants):
+                got = _failed(verify_identities(v), "3.5(1)")
+                assert got == _sum_by_add(v), (seed, t, k)
+                if k == 0:
+                    assert not got
+                    clean += 1
+                else:
+                    faulted += 1
+                    failing += bool(got)
+    assert clean > 60 and faulted > failing > 100
 
 
 def test_fault_colon_identity_drops_rhs_generator():

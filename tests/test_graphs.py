@@ -20,6 +20,7 @@ from tconnect.graphs import (
     graph_from_edges,
     independence_extremes,
     induced_subgraph,
+    lex_bfs_order,
     neighborhood_mask,
     parse_graph,
     random_chordal,
@@ -33,6 +34,7 @@ from util import (
     has_edge,
     is_connected_mask,
     neighbors,
+    quadratic_lex_bfs_order,
     random_graph,
     relabel,
     to_networkx,
@@ -245,6 +247,19 @@ def test_chordality_fig1():
     cert = chordality(fixture("fig1"))
     assert cert.is_chordal and cert.witness_cycle is None
     assert sorted(cert.peo) == list(range(1, 15))
+
+
+def test_lex_bfs_order_matches_the_labelled_reference():
+    # partition refinement must visit in the labelled order: largest label
+    # first, ties to the smallest vertex, so every PEO and witness stays put
+    rng = random.Random(27)
+    graphs = [fixture("path", 400), fixture("fig1"), Graph(0, ())]
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        graphs.append(random_chordal(n, rng.randrange(10**6), rng.randint(1, 6)))
+        graphs.append(random_graph(n, rng.choice((0.05, 0.15, 0.4, 0.8)), rng.randrange(10**6)))
+    for g in graphs:
+        assert lex_bfs_order(g) == quadratic_lex_bfs_order(g), g
 
 
 def test_chordality_cycle5():

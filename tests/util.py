@@ -443,3 +443,21 @@ def shift_ideal(ideal, offset, new_n):
     return SquareFreeIdeal.make(
         new_n, [tuple(v + offset for v in g) for g in gens_vertices(ideal)]
     )
+
+
+def quadratic_lex_bfs_order(g: Graph) -> list[int]:
+    """Lex-BFS by explicit labels, the reference for ``graphs.lex_bfs_order``:
+    each step takes the unvisited vertex of largest label (a list of the
+    decreasing stamps of its visited neighbours), ties to the smallest."""
+    labels: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    unvisited = set(g.vertices())
+    order = []
+    for step in range(g.n):
+        v = max(unvisited, key=lambda u: (labels[u], -u))
+        unvisited.discard(v)
+        order.append(v)
+        stamp = g.n - step
+        for u in iter_bits(g.adj[v - 1]):
+            if u in unvisited:
+                labels[u].append(stamp)
+    return order
