@@ -7,111 +7,81 @@ the subsets containing no generator).  beta_{0,0} is set to 1 directly.
 
 The sum asks three questions of every subset: is it a face, is it a
 cone, and is the link of one of its vertices a cone?  All three are one
-covering test, answered for all 2^n subsets at once on sets of subsets
-held as 2^n-bit integers (bit a for subset a).  The subsets that hold a
-generator are the up-closure of the generators: bit by bit, every set
-without bit c brings in itself plus c, a shift by 2^c.  The rest are the
-faces, kept as one byte per subset.  A subset W with a vertex u lying in
-no generator inside W restricts to a cone (u joins every face), so it
-contributes nothing and is skipped without evaluation.  Vertex by
-vertex, the W that hold u and no generator through u are those outside
-the up-closure of the generators through u; their union is the set of
-cones, and the rest are the non-cone W, listed once in ascending order.
-The complex {empty set} has one-dimensional homology in degree -1.
+covering test, answered for all 2^n subsets at once on 2^n-bit integers
+(bit a for subset a).  The subsets that hold a generator are the
+up-closure of the generators (bit by bit, a shift by 2^c); the rest are
+the faces, one byte per subset.  A W with a vertex u in no generator
+inside W restricts to a cone and is skipped: the W outside the
+up-closure of the generators through u, united over u.  The rest are the
+non-cone W, walked once in ascending order.  The reduced Euler
+characteristic chi[W] is the zeta transform of the signed face
+indicator, added on two's-complement bit planes of 2^n bits and read at
+the non-cone W only.  The complex {empty set} has one-dimensional
+homology in degree -1.  The memory of every table and list is estimated
+against physical memory before any is made.
 
-A non-cone W is then reduced by a strong collapse (Barmak and Minian's
+A non-cone W is reduced by a strong collapse (Barmak and Minian's
 dominated vertices) where it can be.  The restriction to W is the union
-of its deletion of v (the restriction to W - v) and the star of v, which
-meet in the link of v.  When that link is a cone, both the star and the
-link are contractible, so the restriction to W has the homology of the
-restriction to W - v, degree by degree: its beta moves from (i, j - 1) to
-(i + 1, j) with no evaluation.  The link of v restricted to W - v is the
-complex of the colon ideal (I : x_v), so the cone test is the one above,
-made on the colon's generators for the sets without v, each then moved
-up by v.  The vertices are taken in ascending order and each W keeps the
-first whose link is a cone, in a byte table read at the non-cone W only
-(the lcm lattice of I: Gasharov, Peeva and Welker, Math. Res. Lett.
-1999).  The non-cone W are walked in ascending order, so W - v is always
-done before W.  The memory of every table and list is estimated against
-physical memory before any is allocated.
-
-A non-cone W with no cone link is joined when the generators inside it
-fall into two or more components (two generators meet when they share a
-vertex).  A subset of W is then a face exactly when its part in each
-component is one, so the restriction to W is the join of the
-restrictions to the components; each component is a non-cone below W,
-which the walk has already handled.  Over a field the reduced homology
+of the restriction to W - v and the star of v, meeting in the link of v.
+When that link is a cone, the restriction to W has the homology of the
+restriction to W - v, with no evaluation.  The link of v restricted
+to W - v is the complex of the colon ideal (I : x_v), so the cone test
+is the one above, made on the colon's generators; each W keeps the
+lowest vertex whose link is a cone, in a byte table (the lcm lattice of
+I: Gasharov, Peeva and Welker, Math. Res. Lett. 1999).  A non-cone W
+with no cone link is joined when the generators inside it fall into two
+or more components (two generators meet when they share a vertex): the
+restriction to W is then the join of the restrictions to the
+components, each a non-cone below W.  Over a field the reduced homology
 of a join is the convolution H_{k+1}(A * B) = sum over i + j = k of
-H_i(A) (x) H_j(B) (Milnor 1956; Bjorner, "Topological methods", 1995):
-with dimensions indexed from degree -1, the parts multiply like
-polynomials.  A derived W is the join of one part, W - v, so both kinds
-are recorded the same way: a linked W keeps its parts (W - v, or its
-components) and no faces.  Over each field its dimensions are the
-convolution of its parts' dimensions over that same field, with no
-collapse and no rank; a part that is a cone (W - v may be one) has no
-homology.  The reduced Euler characteristic of a join is minus the
-product of its parts', so the Euler audit below checks the convolution:
-a product shifted by one degree fails it whenever that characteristic is
-nonzero.
+H_i(A) (x) H_j(B) (Milnor 1956; Bjorner, "Topological methods", 1995).
+A derived W is the join of one part, W - v, so both are linked W,
+keeping their parts and no faces; a part that is a cone has no homology.
 
 The remaining W are evaluated relative to the star of v, the lowest
 vertex of W.  The star is a cone (or void, when {v} is a generator), so
-its augmented chain complex is acyclic and the reduced homology of the
-restriction to W is that of the pair (restriction, star), in every
-degree and over every field.  The relative chain complex has one cell
-for each face outside the star: each s in W - v that is a face while
-s + v is not, one scan of 2^(|W| - 1) subsets.  The empty set is
-a cell exactly when the star is void.  The boundary of a cell is its
-simplicial boundary with the faces in the star left out; the signs still
-alternate over every vertex of the cell.  Free pairs of cells are then
-removed, an elementary reduction of the chain complex (Kaczynski, Mrozek
-and Slusarek, Comput. Math. Appl. 1998; Mrozek and Batko's coreductions,
-Discrete Comput. Geom. 2009, use the same idea), which keeps the
-homology.  On fig1 induced on vertices 1..12 at t = 5 this leaves 618
-cells of the 30 100 faces the evaluated W hold, and 4 boundary matrices
-to rank.  None of this depends on the field.  The scan, the linked W and
-the collapsed cells (kept in one array per W, of the narrowest machine
-integer that holds n bits, each size in ascending order) form a
-``HochsterReduction``, built once per ideal; only the boundary ranks and
-the convolutions depend on the field.  ``betti_table_ideal`` ranks the
-reduction over one field, and ``BettiTable.over`` ranks the same
-reduction over another.  The convolutions of the linked W, their audits
-and the sum of the table depend only on the evaluated W's dimensions, so
-the reduction keeps each such fold under the dimensions that made it, and
-a field whose evaluated W have the same dimensions takes a copy of its
-entries.  The first field to need a boundary matrix, GF(2) included,
-eliminates its integer rows once with +-1 pivots
+the reduced homology of the restriction to W is that of the pair
+(restriction, star), in every degree and over every field.  Its cells
+are the s in W - v that are faces while s + v is not, one scan of
+2^(|W| - 1) subsets; the empty set is a cell exactly when the star is
+void.  The boundary of a cell is its simplicial boundary with the faces
+in the star left out, the signs still alternating over every vertex.
+Free pairs of cells are removed, an elementary reduction of the chain
+complex over Z (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl.
+1998): on fig1 induced on vertices 1..12 at t = 5, 618 cells of the
+30 100 faces the evaluated W hold are left, in 4 boundary matrices.
+Each is eliminated once over the integers with +-1 pivots
 (``linalg.rank_unimodular``); when every pivot is +-1 that rank holds
-over every field, and the reduction keeps it for all of them.  Only a
-matrix that meets another pivot (the projective plane has one) is ranked
-again over each field by itself.
+over every field.
 
-Every W in the sum is audited: an evaluated W over every field, a linked
-W once per fold (a second field with the same evaluated dimensions would
-audit identical inputs).  Its alternating homology sum must equal chi[W],
-the reduced Euler characteristic from the Euler table: the zeta
-transform (subset sums) of the signed face indicator, built once.  The
-star of v has reduced Euler characteristic 0, so the alternating count
-of the relative cells is chi[W] too.  No dimension may be negative.  For
-an evaluated W this checks its cells and their collapse; for a linked W,
-the convolution of its parts.  A wrong derivation changes the Euler
-characteristic by that of the link, so it fails the audit whenever the
-link's is nonzero.  The first syzygies are audited once per table:
-beta_{1,j} must equal the number of generators of degree j.  Neither
-audit sees the ranks (the rank terms cancel in the alternating sum, and
-after the collapse the top cell W - v, where it is left, meets no cell
-below it, so no top matrix is ranked), so every rank is checked once
-by a second route.  A certified rank is checked, when it is made,
-against the GF(2) rank of the same matrix.  A rank of a matrix that fell
-back must equal a dense elimination over its field, GF(2) included.
+The walk decides each W's homology as it reaches it, its parts first: a
+derived W copies W - v's dimensions, a joined W convolves its
+components', and an evaluated W ranks its matrices through their
+certificates.  Their entries are summed once for every field in a
+``HochsterReduction``.  Only an evaluated W with a matrix that meets
+another pivot (the projective plane has one), and every linked W that
+reads such a W through its parts, depends on the field: those W are
+kept in ascending order, and ``BettiTable.over`` folds just them over
+its field onto the shared entries.
+
+Every W in the sum is audited once, a field-dependent W once per field:
+its alternating homology sum must equal chi[W] (which the relative cells
+share, as the star's is 0), and no dimension may be negative.  For an
+evaluated W this checks its cells and their collapse; for a linked W,
+the convolution (a join's Euler characteristic is minus the product of
+its parts', so a product shifted one degree fails whenever it is
+nonzero) and the derivation (a wrong one changes it by the link's).
+The first syzygies are audited once per table: beta_{1,j} must equal
+the number of generators of degree j.  Neither audit sees the ranks
+(their terms cancel in the alternating sum, and after the collapse the
+top cell W - v meets no cell below it), so every rank is checked by a
+second route: a certified rank against the GF(2) rank of the matrix,
+and a rank over one field against a dense elimination over it.
 
 All arithmetic is exact: boundary rows are sparse dicts {lower cell
-index: +-1}, eliminated over the integers with +-1 pivots.  Over GF(2)
-they are taken as bitmasks and ranked by XOR elimination.  A matrix that
-falls back has its rows built again for each field, and is ranked over
-GF(2) that way, over GF(p) by sparse modular elimination and over Q by
-sparse fraction-free integer elimination.  The collapse and the boundary
-rows walk one list of the single-bit masks of W - v.
+index: +-1}.  A matrix that falls back is ranked over GF(2) by XOR
+elimination, over GF(p) by modular and over Q by fraction-free
+elimination, its rows built again for each field.
 """
 
 from __future__ import annotations
@@ -121,9 +91,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import gcd
-from operator import add, or_, sub
 from typing import NamedTuple
 
 from .bitset import submasks, vertices_of
@@ -253,22 +222,32 @@ def _join(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _components(w: int, gens: tuple[int, ...]) -> list[int]:
+def _components(w: int, ideal: SquareFreeIdeal) -> list[int]:
     """The vertex sets of the components of the generators inside W.
 
-    Two generators are joined when they share a vertex.
+    Two generators are joined when they share a vertex.  The generators
+    inside W, those meeting no vertex outside it, are an index set on the
+    ideal's incidence rows; each component grows from its lowest index by
+    the rows of the vertices it gains, so no generator is visited twice.
     """
+    gens = ideal.gens
+    inside = ((1 << len(gens)) - 1) & ~ideal.meeting(((1 << ideal.n) - 1) ^ w)
     comps: list[int] = []
-    for g in gens:
-        if not g & ~w:
-            rest = [c for c in comps if not c & g]
-            comps = rest + [reduce(or_, (c for c in comps if c & g), g)]
+    while inside:
+        low = inside & -inside
+        comp = new = gens[low.bit_length() - 1]
+        inside ^= low
+        while new:
+            reach = ideal.meeting(new) & inside
+            inside ^= reach
+            while reach:
+                low = reach & -reach
+                new |= gens[low.bit_length() - 1]
+                reach ^= low
+            new &= ~comp
+            comp |= new
+        comps.append(comp)
     return comps
-
-
-def _euler(counts) -> int:
-    """Alternating sum of face counts or homology dimensions indexed from degree -1."""
-    return sum(counts[1::2]) - sum(counts[::2])
 
 
 class _Collapsed(NamedTuple):
@@ -281,10 +260,7 @@ class _Collapsed(NamedTuple):
 
 
 def _cell_bits(w: int) -> list[int]:
-    """The single-bit masks of W - v in ascending order, v the lowest vertex of W.
-
-    These are the vertices a relative cell of W may hold.
-    """
+    """The single-bit masks of W - v, ascending, v the lowest vertex of W."""
     rest = w & w - 1
     return [1 << i for i in range(rest.bit_length()) if rest >> i & 1]
 
@@ -299,9 +275,8 @@ def _boundary_faces(cx: _Collapsed, c: int) -> tuple[array, array]:
 def _signed_rows(upper: array, lower: array, wbits: list[int]) -> list[dict[int, int]]:
     """Integer boundary rows from c-cells (upper) to (c-1)-cells (lower).
 
-    Each row is a sparse dict {lower index: +-1}, the sign alternating
-    over every vertex of the face in ascending order, including those
-    whose removal leaves no cell (skipped).
+    Each row is a sparse dict {lower index: +-1}, the sign alternating over
+    every vertex of the face, ascending, even where no cell is left.
     """
     index = {f: i for i, f in enumerate(lower)}
     rows = []
@@ -358,13 +333,12 @@ def _dense_rank(rows: list[dict[int, int]], width: int, p: int | None) -> int:
     return rank
 
 
-def _homology_dims(cx: _Collapsed, fld: Field, red: HochsterReduction) -> list[int]:
-    """Reduced homology dimensions over fld, indexed from degree -1.
+def _homology_dims(cx: _Collapsed, fld: Field | None, red: HochsterReduction) -> list[int] | None:
+    """Reduced homology dimensions over fld, indexed from degree -1, audited.
 
-    The boundary ranks come from ``red``, which shares them between fields
-    where it can.  Audits every evaluation: the alternating sum of the
-    dimensions must be the Euler characteristic of the restriction to W,
-    which the relative cells before the collapse share.
+    With fld None, over every field, or None when a boundary rank has no
+    +-1 certificate.  The relative cells before the collapse share W's
+    Euler characteristic.
     """
     f = cx.counts
     dims = list(f)
@@ -374,20 +348,33 @@ def _homology_dims(cx: _Collapsed, fld: Field, red: HochsterReduction) -> list[i
         for c in range(2, len(f)):
             if f[c] and f[c - 1]:
                 ranks[c] = red.boundary_rank(cx, c, fld)
+        if None in ranks:
+            return None
         for c in range(len(f)):
             dims[c] = f[c] - ranks[c] - ranks[c + 1]
     _audit_euler(dims, cx.chi, cx.w, fld, "dimensions")
     return dims
 
 
-def _audit_euler(dims: list[int], chi: int, w: int, fld: Field, what: str) -> None:
+def _linked_dims(w: int, chi: int, parts, dims_of: dict, fld: Field | None) -> list[int] | None:
+    """A linked W's dimensions, its parts' convolved, audited; None where a part's are."""
+    part_dims = [dims_of.get(p, []) for p in parts]  # a part that is no key is a cone
+    if None in part_dims:
+        return None
+    dims = reduce(_join, part_dims)  # one part, W - v: its dimensions, no convolution
+    what = "derived" if len(parts) == 1 else "joined"
+    _audit_euler(dims, chi, w, fld, what + " dimensions")
+    return dims
+
+
+def _audit_euler(dims: list[int], chi: int, w: int, fld: Field | None, what: str) -> None:
     """W's dimensions must be non-negative, with the Euler characteristic its faces give."""
     _AUDIT["checks"] += 1
-    if _euler(dims) != chi or min(dims, default=0) < 0:
+    if sum(dims[1::2]) - sum(dims[::2]) != chi or min(dims, default=0) < 0:
         _AUDIT["failures"] += 1
         raise HomologyAuditError(
             f"audit failed: faces of W={vertices_of(w)} give Euler characteristic {chi}, "
-            f"but {what} {dims} over {fld.label()}"
+            f"but {what} {dims} over {'every field' if fld is None else fld.label()}"
         )
 
 
@@ -409,7 +396,7 @@ class BettiTable:
 
     @property
     def evaluations(self) -> int:
-        """W collapsed once for the ideal and ranked over each field."""
+        """W collapsed and ranked once for the ideal."""
         return len(self.reduction.evaluated)
 
     @property
@@ -423,7 +410,8 @@ class BettiTable:
         return len(self.reduction.linked_k) - self.derived
 
     def over(self, fld: Field) -> BettiTable:
-        """The table over another field, ranked from the same collapsed cells."""
+        """The table over another field: the entries every field shares, plus the
+        field-dependent W ranked from the same collapsed cells over ``fld``."""
         return self.reduction.betti_table(fld)
 
     def beta(self, i: int, j: int) -> int:
@@ -473,41 +461,19 @@ def _check_table_memory(n: int) -> None:
     """Refuse the oracle's subset tables when they do not fit in physical memory.
 
     Counted per subset, in the worst case where every W is a non-cone: the
-    Euler table and the list of non-cone W (a list slot plus one int
-    object each), the list slots a fold's slices copy (at most one and a
-    half), the face and link byte tables and the two halves of the signed
-    face indicator, the strings or integer one byte table is made from,
-    and the 2^n-bit sets: one per vertex and at most 16 more alive at once.
+    list of non-cone W and their Euler characteristics (a list slot plus
+    one int object each), the face, link and non-cone byte tables, the
+    strings, integers or bytes one byte table is made from or read into,
+    and the 2^n-bit sets: one per vertex, at most n + 2 bit planes of the
+    Euler characteristics, and at most 16 more alive at once.
     """
-    need = ((2 * (8 + 32) + 12 + 4 + 4) << n) + ((n + 16) << n >> 3)
+    need = ((2 * (8 + 32) + 3 + 4) << n) + ((2 * n + 18) << n >> 3)
     have = _physical_memory()
     if have is not None and need > have:
         raise ResourceLimitError(
             f"the oracle's 2^{n} subset tables need about {need >> 20} MiB, "
             f"more than the {have >> 20} MiB of physical memory"
         )
-
-
-def _zeta(table: list[int], op) -> list[int]:
-    """Fold each entry over its subsets in place: table[a] = op over table[s], s ⊆ a.
-
-    Bit by bit, every a with the bit set takes op(table[a], table[a - bit]),
-    done by slices: one per block of such a when the blocks are long, one
-    per offset inside a block (a stride-2*step progression) when they are
-    short, so no bit costs more than sqrt(len(table)) slice operations.
-    """
-    size = len(table)
-    step = 1
-    while step < size:
-        span = step << 1
-        if step * step < size:
-            for r in range(step):
-                table[step + r::span] = map(op, table[step + r::span], table[r::span])
-        else:
-            for hi in range(step, size, span):
-                table[hi:hi + step] = map(op, table[hi:hi + step], table[hi - step:hi])
-        step = span
-    return table
 
 
 # A set of subsets of n vertices is a 2^n-bit integer with bit a set for
@@ -591,8 +557,7 @@ def _link_table(colons: list[tuple[int, ...] | None], lacks: list[int]) -> bytes
     S + v.  ``colons[b]`` holds the generators of (I : x_v) for v the
     vertex of bit b, or None when {v} is a generator: v is then no vertex
     of the complex and has no link.  The vertices are walked in ascending
-    order, and a W already claimed by a lower vertex keeps it.  The
-    entries are gathered one bit plane at a time.
+    order, and a W already claimed by a lower vertex keeps it.
     """
     n = len(lacks)
     claimed = 0
@@ -605,29 +570,72 @@ def _link_table(colons: list[tuple[int, ...] | None], lacks: list[int]) -> bytes
             for k in range(len(planes)):
                 if b + 1 >> k & 1:
                     planes[k] |= mine
-    links = 0
+    return _gather(planes, 1 << n)
+
+
+def _gather(planes: list[int], size: int) -> bytes:
+    """One byte per subset a < size, with bit k of byte a the bit a of planes[k] (k < 8)."""
+    x = 0
     for k, plane in enumerate(planes):
-        links |= int.from_bytes(_byte_table(plane, 1 << n), "little") << k
-    return links.to_bytes(1 << n, "little")
+        x |= int.from_bytes(_byte_table(plane, size), "little") << k
+    return x.to_bytes(size, "little")
+
+
+def _euler_planes(faces: int, odd: int, lacks: list[int]) -> list[int]:
+    """chi[a], the reduced Euler characteristic of the restriction to a, as bit planes.
+
+    chi is the zeta transform of the signed face indicator, where a face F
+    counts (-1)^(|F| - 1).  Bit a of ``planes[k]`` is bit k of chi[a] in
+    two's complement, the top plane the sign: +1 and -1 set plane 0, only
+    -1 (an even face) the sign.  For each bit c, every a holding c adds
+    chi[a - c], the planes masked to the sets without c and shifted up, by
+    a ripple-carry adder on a copy of the sign plane, so it cannot
+    overflow; top planes equal to the one below are then dropped.
+    """
+    planes = [faces, faces & ~odd]
+    for c, lack in enumerate(lacks):
+        planes.append(planes[-1])
+        carry = 0
+        for k, p in enumerate(planes):
+            q = (p & lack) << (1 << c)
+            s = p ^ q
+            planes[k] = s ^ carry
+            carry = p & q | carry & s
+        while len(planes) > 1 and planes[-1] == planes[-2]:
+            planes.pop()
+    return planes
+
+
+def _read_planes(planes: list[int], size: int, selector: bytes) -> list[int]:
+    """The values at the subsets a < size with selector[a] set, from their bit planes.
+
+    Eight planes at a time are gathered into one byte a subset and read at
+    the selected subsets, the top byte first, sign-extended and signed.
+    """
+    values: list[int] = []
+    for low in range((len(planes) - 1) & -8, -1, -8):
+        lane = bytes(compress(_gather(planes[low:low + 8], size), selector))
+        if low + 8 >= len(planes):
+            k = len(planes) - low  # planes in the top byte, the last the sign
+            lane = lane.translate(bytes((b - (b >> k - 1 << k)) & 255 for b in range(256)))
+            values = array("b", lane).tolist()
+        else:
+            values = [v << 8 | b for v, b in zip(values, lane)]
+    return values
 
 
 class HochsterReduction:
-    """The field-independent part of the Hochster sum of one ideal.
+    """The Hochster sum of one ideal, decided wherever it holds over every field.
 
-    Each evaluated W keeps its collapsed relative cells.  Each linked W keeps its
-    number k of parts, the parts (one flat array for all linked W) and its
-    Euler characteristic: one part W - v for a cone link of v, or its
-    k >= 2 components for a join.  Both lists are in ascending order of W.
-    ``betti_table`` ranks the complexes over one field.  ``folds`` maps the
-    evaluated W's dimensions (a tuple per W, in their order) to the
-    entries of the table they give.
-
-    ``certified`` maps (W, c), the boundary of W's c-faces, to its rank
-    from a +-1-pivot elimination, which holds over every field, or to None
-    where a pivot was not +-1.  The first field to rank the matrix fills
-    the entry; every later one reads it and ranks on its own only where it
-    is None.  The cell counts before and after the collapse are summed
-    over the evaluated W.
+    Each evaluated W keeps its collapsed relative cells, each linked W its
+    number k of parts and the parts (one flat array): W - v for a cone link
+    of v, or its k >= 2 components.  ``entries`` sums the W whose
+    dimensions hold over every field; ``field_dependent`` keeps the rest
+    in ascending order as (W, chi, parts, cells): an evaluated W (no
+    parts) with a matrix of no +-1 certificate, or a linked W with such a
+    part (cells None).  ``known`` holds the other parts' dimensions.
+    ``certified`` maps (W, c), the boundary of W's c-cells, to its
+    certified rank, or to None where a pivot was not +-1.
     """
 
     def __init__(self, ideal: SquareFreeIdeal):
@@ -636,34 +644,34 @@ class HochsterReduction:
         self.linked_w = array("q")
         self.linked_k = array("q")
         self.linked_parts = array("q")
-        self.linked_chi = array("q")
         self.certified: dict[tuple[int, int], int | None] = {}
-        self.folds: dict[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]] = {}
+        self.entries: dict[tuple[int, int], int] = {(0, 0): 1}
+        self.field_dependent: list[tuple[int, int, tuple[int, ...], _Collapsed | None]] = []
+        self.known: dict[int, list[int]] = {}
         self.cones = 0  # W skipped because they restrict to a cone
         self.cells_before_collapse = 0  # relative cells of every evaluated W, summed
         self.cells_after_collapse = 0
 
-    def boundary_rank(self, cx: _Collapsed, c: int, fld: Field) -> int:
-        """Rank over fld of the boundary map from W's c-cells to its (c-1)-cells.
+    def boundary_rank(self, cx: _Collapsed, c: int, fld: Field | None) -> int | None:
+        """Rank over fld (None: every field) of the boundary from W's c- to its (c-1)-cells.
 
-        Every rank is checked once by a second route.  The first field to
-        need the matrix eliminates its signed rows with +-1 pivots; a rank
-        so certified is checked against the GF(2) rank of the same matrix
-        and then serves every field.  A matrix with a pivot that is not +-1
-        is ranked over each field by itself and checked against a dense
-        elimination over that field.
+        The first call, from the walk, eliminates the signed rows with +-1
+        pivots: a rank so certified is checked against the GF(2) rank and
+        serves every field.  Where a pivot is not +-1 there is no such rank
+        (None), and each field ranks the matrix by itself, checked against
+        a dense elimination over that field.
         """
         key = (cx.w, c)
-        cert = self.certified.get(key)
-        if cert is not None:
-            return cert
-        upper, lower = _boundary_faces(cx, c)
-        rows = _signed_rows(upper, lower, _cell_bits(cx.w))
         if key not in self.certified:
+            rows = _signed_rows(*_boundary_faces(cx, c), _cell_bits(cx.w))
             cert = self.certified[key] = rank_unimodular(rows)
             if cert is not None:
                 _audit_rank(key, rank_gf2(_gf2_rows(rows)), GF2, cert, _CERTIFIED)
-                return cert
+        cert = self.certified[key]
+        if cert is not None or fld is None:
+            return cert
+        upper, lower = _boundary_faces(cx, c)
+        rows = _signed_rows(upper, lower, _cell_bits(cx.w))
         if fld.p is None:
             rank = rank_rationals(rows)
         elif fld.p == 2:
@@ -679,35 +687,19 @@ class HochsterReduction:
         return {"ranked_once": len(self.certified) - failed, "ranked_per_field": failed}
 
     def betti_table(self, fld: Field) -> BettiTable:
-        """Rank and audit every evaluated W over fld, fold the linked W, and sum the table.
+        """The entries every field shares, plus the field-dependent W folded over fld.
 
-        The fold (each linked W's parts convolved, its Euler characteristic
-        audited, the entries added) depends only on the evaluated W's
-        dimensions, so a field that gives the same dimensions as an earlier
-        one takes a copy of that fold's entries.
+        Those W are ranked or convolved, and audited, over fld, ascending.
         """
-        dims_of = {cx.w: _homology_dims(cx, fld, self) for cx in self.evaluated}
-        key = tuple(map(tuple, dims_of.values()))
-        entries = self.folds.get(key)
-        if entries is None:
-            entries = self.folds[key] = self._fold(dims_of, fld)
-        table = BettiTable(self.ideal.n, fld, self, dict(entries))
+        entries = dict(self.entries)
+        dims_of = dict(self.known)
+        for w, chi, parts, cx in self.field_dependent:
+            dims = dims_of[w] = (_linked_dims(w, chi, parts, dims_of, fld) if cx is None
+                                 else _homology_dims(cx, fld, self))
+            _add_homology(entries, w, dims)
+        table = BettiTable(self.ideal.n, fld, self, entries)
         _audit_first_syzygies(self.ideal, table)
         return table
-
-    def _fold(self, dims_of: dict[int, list[int]], fld: Field) -> dict[tuple[int, int], int]:
-        """The table's entries from the evaluated W's dimensions (dims_of, extended in place)."""
-        entries = {(0, 0): 1}
-        for w, dims in dims_of.items():
-            _add_homology(entries, w, dims)
-        parts = iter(self.linked_parts)
-        for w, k, chi in zip(self.linked_w, self.linked_k, self.linked_chi):
-            # every part is below W, so it came first; a missing part is a cone
-            dims = reduce(_join, [dims_of.get(p, []) for p in islice(parts, k)])
-            _audit_euler(dims, chi, w, fld, "derived dimensions" if k == 1 else "joined dimensions")
-            dims_of[w] = dims
-            _add_homology(entries, w, dims)
-        return entries
 
 
 _DENSE = "a dense elimination gives {}"
@@ -740,8 +732,8 @@ class _SubsetTables(NamedTuple):
     """What the walk reads of the 2^n subsets."""
 
     face: bytes  # face[a] is 1 when a is a face, else 0
-    chi: list[int]  # chi[a] is the reduced Euler characteristic of the restriction to a
     non_cones: list[int]  # the nonempty W that restrict to no cone, ascending
+    chi: list[int]  # the reduced Euler characteristic of the restriction to each non-cone W
     links: bytes  # see ``_link_table``
     cones: int  # the number of W that restrict to a cone
 
@@ -749,11 +741,9 @@ class _SubsetTables(NamedTuple):
 def _subset_tables(ideal: SquareFreeIdeal) -> _SubsetTables:
     """The faces, the cones and the cone links as 2^n-bit sets, then as tables.
 
-    All three come from the same covering test (``_non_faces``,
-    ``_uncovered``, ``_link_table``).  The Euler table is the zeta
-    transform of the signed face indicator: a face F counts
-    (-1)^(|F| - 1), so the empty face counts -1.  Each bit set is
-    dropped once its table is made.
+    All three come from one covering test (``_non_faces``, ``_uncovered``,
+    ``_link_table``), and chi from the faces, read at the non-cone W only.
+    Each bit set is dropped once its table is made.
     """
     n = ideal.n
     _check_table_memory(n)
@@ -761,29 +751,28 @@ def _subset_tables(ideal: SquareFreeIdeal) -> _SubsetTables:
     full = (1 << size) - 1
     lacks, odd = _subset_sets(n)
     face_set = full ^ _non_faces(ideal.gens, lacks)
-    odd &= face_set
     face = _byte_table(face_set, size)
-    plus, minus = _byte_table(odd, size), _byte_table(face_set ^ odd, size)
+    planes = _euler_planes(face_set, odd, lacks)
     del odd, face_set
     cones = _uncovered(ideal.gens, lacks, 0)
     count = cones.bit_count()
-    non_cones = list(compress(range(size), _byte_table(full ^ cones ^ 1, size)))
+    selector = _byte_table(full ^ cones ^ 1, size)
     del full, cones
+    chi = _read_planes(planes, size, selector)
+    del planes
     colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
     links = _link_table(colons, lacks)
-    del lacks
-    chi = list(map(sub, plus, minus))
-    del plus, minus
-    return _SubsetTables(face, _zeta(chi, add), non_cones, links, count)
+    return _SubsetTables(face, list(compress(range(size), selector)), chi, links, count)
 
 
 def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
-    """Scan every W once: skip cones, link W with a cone link or split generators.
+    """Walk the non-cone W once, ascending, deciding each one's homology as it is reached.
 
-    The walk reads the tables of ``_subset_tables`` and visits only the
-    non-cone W.  Each W with neither a cone link nor split generators is
-    evaluated relative to the star of its lowest vertex, and its relative
-    cells are collapsed.
+    A W with a cone link or split generators is linked and convolves its
+    parts' dimensions.  Any other W is evaluated relative to the star of
+    its lowest vertex: its relative cells are collapsed and ranked through
+    the +-1 certificates.  A W that depends on a matrix with no
+    certificate, itself or through a part, is kept for each field to fold.
     """
     n = ideal.n
     cap = oracle_cap()
@@ -800,10 +789,11 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
 
     tables = _subset_tables(ideal)
     red.cones = tables.cones
-    face, chi, links = tables.face, tables.chi, tables.links
+    face, links = tables.face, tables.links
+    dims_of: dict[int, list[int] | None] = {}  # every non-cone W below; None: field-dependent
 
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)  # holds any n-bit face
-    for w in tables.non_cones:
+    for w, chi in zip(tables.non_cones, tables.chi):
         link = links[w]
         if link:
             # the link of v is a cone, so the restriction to W is homotopy
@@ -812,12 +802,13 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
         else:
             # the restriction to W is the join of the restrictions to the
             # components of its generators, each a non-cone below W
-            parts = _components(w, ideal.gens)
+            parts = _components(w, ideal)
         if link or len(parts) > 1:
             red.linked_w.append(w)
             red.linked_k.append(len(parts))
             red.linked_parts.extend(parts)
-            red.linked_chi.append(chi[w])
+            record = (w, chi, tuple(parts), None)
+            dims = dims_of[w] = _linked_dims(w, chi, parts, dims_of, None)
         else:
             # the relative cells: faces avoiding the lowest vertex v whose
             # union with v is no face, i.e. the faces outside the star of v
@@ -830,8 +821,15 @@ def _reduce(ideal: SquareFreeIdeal) -> HochsterReduction:
             counts = tuple(map(len, work))
             red.cells_before_collapse += sum(map(len, cells))
             red.cells_after_collapse += sum(counts)
-            faces = array(code, chain.from_iterable(work))
-            red.evaluated.append(_Collapsed(w, chi[w], counts, faces))
+            cx = _Collapsed(w, chi, counts, array(code, chain.from_iterable(work)))
+            red.evaluated.append(cx)
+            record = (w, chi, (), cx)
+            dims = dims_of[w] = _homology_dims(cx, None, red)
+        if dims is None:
+            red.field_dependent.append(record)
+            red.known.update((p, dims_of[p]) for p in record[2] if dims_of.get(p) is not None)
+        else:
+            _add_homology(red.entries, w, dims)
     return red
 
 

@@ -149,11 +149,12 @@ class SquareFreeIdeal:
         """The index set of the generators that meet ``support``: the OR of
         its vertices' rows (none when ``support`` is 0)."""
         rows = self.incidence
+        support &= (1 << len(rows) - 1) - 1  # a vertex past the rows is in no generator
         out = 0
-        for v in iter_bits(support):
-            if v >= len(rows):
-                break
-            out |= rows[v]
+        while support:
+            low = support & -support
+            out |= rows[low.bit_length()]
+            support ^= low
         return out
 
     def colon(self, support: int | Iterable[int]) -> "SquareFreeIdeal":

@@ -24,8 +24,11 @@ from tconnect.homology import (
 from tconnect.ideals import SquareFreeIdeal, t_connected_ideal
 from util import (
     brute_betti_table,
+    brute_betti_tables,
+    brute_components,
     brute_cone_link,
     brute_covered,
+    brute_euler_table,
     brute_non_cone_count,
     gens_vertices,
     hypergraph_induced_matching,
@@ -192,15 +195,15 @@ def test_betti_cap_env_override(monkeypatch):
 
 
 def test_betti_table_memory_checked_before_allocation(monkeypatch):
-    # 2^13 subsets of 100 bytes (Euler table and non-cone list 40 each,
-    # fold slices 12, four byte tables, 4 of strings) and 29 bit sets of
-    # 2^13 bits need 829 KiB; claim 828 KiB
+    # 2^13 subsets of 87 bytes (the non-cone list and their Euler
+    # characteristics 40 each, three byte tables, 4 of strings) and 44 bit
+    # sets of 2^13 bits (13 + 13 + 2 planes + 16) need 740 KiB; claim 739 KiB
     ideal = SquareFreeIdeal.make(13, [range(1, 14)])
     monkeypatch.setenv("SR_MAX_ORACLE_N", "13")
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 828 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 739 << 10)
     with pytest.raises(ResourceLimitError, match="physical memory"):
         betti_table_ideal(ideal, GF2)
-    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 829 << 10)
+    monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: 740 << 10)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
     monkeypatch.setattr(tconnect.homology, "_physical_memory", lambda: None)
     assert betti_table_ideal(ideal, GF2).beta(1, 13) == 1
@@ -533,7 +536,8 @@ def assert_tables_match_scans(ideal):
     n = ideal.n
     tables = tconnect.homology._subset_tables(ideal)
     colons = [None if 1 << b in ideal.gens else ideal.colon(1 << b).gens for b in range(n)]
-    assert len(tables.face) == len(tables.links) == len(tables.chi) == 1 << n
+    assert len(tables.face) == len(tables.links) == 1 << n
+    assert len(tables.chi) == len(tables.non_cones)
     non_cones = []
     for w in range(1 << n):
         covered = brute_covered(ideal.gens, w)
@@ -558,6 +562,57 @@ def test_subset_tables_match_the_per_w_scans():
         assert_tables_match_scans(t_connected_ideal(fig1_prefix(), t))
     # _subset_tables is below the oracle cap's check, so n = 20 needs no raised cap
     assert_tables_match_scans(t_connected_ideal(random_chordal(20, 0, 4), 2))
+
+
+def test_euler_planes_match_the_list_zeta():
+    # chi at every non-cone W, read from the bit planes, against the list
+    # zeta of the signed face indicator over all 2^n subsets
+    rng = random.Random(37)
+    ideals = [random_antichain_ideal(rng, rng.randint(1, 10), max_gens=7) for _ in range(80)]
+    ideals += [t_connected_ideal(fig1_prefix(), t) for t in (2, 3, 4, 5)]
+    ideals.append(t_connected_ideal(random_chordal(20, 0, 4), 2))
+    sizes, extremes = set(), set()
+    for ideal in ideals:
+        tables = tconnect.homology._subset_tables(ideal)
+        chi = brute_euler_table(tables.face)
+        assert tables.chi == [chi[w] for w in tables.non_cones]
+        sizes.add(ideal.n)
+        extremes.update((min(tables.chi), max(tables.chi)))
+    assert set(range(1, 11)) <= sizes and min(extremes) < 0 < max(extremes)
+
+
+def test_audit_rejects_a_corrupt_sign_plane(monkeypatch, private_audit):
+    # with the sign plane cleared, chi = -1 of the hollow triangle {1, 2, 3}
+    # reads as a positive number, and its Euler audit rejects it
+    planes = tconnect.homology._euler_planes
+    monkeypatch.setattr(tconnect.homology, "_euler_planes",
+                        lambda *args: planes(*args)[:-1] + [0])
+    with pytest.raises(HomologyAuditError, match=re.escape("audit failed: faces of W=(1, 2, 3)")):
+        betti_table_ideal(t_connected_ideal(fixture("path", 6), 3), GF2)
+    assert private_audit["failures"] == 1
+
+
+def assert_components_match_the_generator_scan(ideal):
+    """``_components`` at every non-cone W with no cone link against the scan of
+    every generator.  Returns the number of W that split."""
+    tables = tconnect.homology._subset_tables(ideal)
+    split = 0
+    for w in tables.non_cones:
+        if not tables.links[w]:
+            comps = tconnect.homology._components(w, ideal)
+            assert sorted(comps) == sorted(brute_components(w, ideal.gens)), w
+            split += len(comps) > 1
+    return split
+
+
+def test_components_match_the_generator_scan():
+    split = sum(assert_components_match_the_generator_scan(t_connected_ideal(fig1_prefix(), t))
+                for t in (2, 3, 4, 5))
+    rng = random.Random(43)
+    for _ in range(60):
+        ideal = random_antichain_ideal(rng, rng.randint(1, 9), max_gens=7)
+        split += assert_components_match_the_generator_scan(ideal)
+    assert split
 
 
 def test_fig1_reduction_counts():
@@ -632,15 +687,18 @@ def test_relative_complex_matches_reference(monkeypatch):
 
 
 def test_fields_with_the_same_dimensions_share_one_fold(monkeypatch):
-    # every boundary matrix of fig1 on vertices 1..12 is certified, so GF(3)
-    # and Q give the evaluated W the GF(2) dimensions and copy the GF(2) fold
-    table = betti_table_ideal(t_connected_ideal(fig1_prefix(), 2), GF2)
-    assert table.joined
-    calls = count_calls(monkeypatch, ("_join",))
-    moved = [table.over(GF3), table.over(QQ)]
-    assert not calls and len(table.reduction.folds) == 1
-    assert all(m.entries == table.entries for m in moved)
+    # every boundary matrix of fig1 on vertices 1..12 at t = 2..5 is
+    # certified, so the walk decides every W over every field and GF(3) and
+    # Q copy the entries it summed: no rank, convolution or collapse
+    tables = {t: betti_table_ideal(t_connected_ideal(fig1_prefix(), t), GF2) for t in (2, 3, 4, 5)}
+    calls = count_calls(monkeypatch, RANKS + ("_join", "_homology_dims", "_collapse"))
+    for table in tables.values():
+        assert not table.reduction.field_dependent
+        assert table.over(GF3).entries == table.over(QQ).entries == table.entries
+    assert not calls and tables[2].joined
     # each table owns its entries: mutating one leaves the rest and the next over alone
+    table = tables[2]
+    moved = [table.over(GF3), table.over(QQ)]
     want = dict(table.entries)
     table.entries[(1, 2)] += 1
     moved[0].entries.clear()
@@ -648,24 +706,54 @@ def test_fields_with_the_same_dimensions_share_one_fold(monkeypatch):
     assert table.entries != want and not calls
 
 
+def test_a_failed_certificate_sends_only_its_w_and_the_linked_w_above_it_per_field(monkeypatch):
+    # the first matrix of fig1[1..12] at t = 2 is given no certificate: its W
+    # and the linked W that read it, directly or through a part, are the
+    # only ones each field folds, and every table still equals the brute sum
+    # (at t = 3 no linked W reads a W with a matrix, so t = 2 is taken)
+    ideal = t_connected_ideal(fig1_prefix(), 2)
+    unimodular, calls = tconnect.homology.rank_unimodular, []
+
+    def first_fails(rows):
+        calls.append(rows)
+        return None if len(calls) == 1 else unimodular(rows)
+
+    monkeypatch.setattr(tconnect.homology, "rank_unimodular", first_fails)
+    table = betti_table_ideal(ideal, GF2)
+    red = table.reduction
+    failed = [w for (w, c), rank in red.certified.items() if rank is None]
+    assert len(failed) == 1 and red.certificate_counts()["ranked_per_field"] == 1
+    above, parts = set(failed), iter(red.linked_parts)
+    for w, k in zip(red.linked_w, red.linked_k):
+        if above.intersection([next(parts) for _ in range(k)]):
+            above.add(w)
+    dependent = [w for w, _, _, _ in red.field_dependent]
+    assert dependent == sorted(above) and len(dependent) > 1
+    counted = count_calls(monkeypatch, ("_homology_dims", "rank_mod_p", "rank_rationals"))
+    want = brute_betti_tables(gens_vertices(ideal), ideal.n, (2, 3, None))
+    assert table.entries == want[2]
+    assert table.over(GF3).entries == want[3] and table.over(QQ).entries == want[None]
+    assert counted == {"_homology_dims": 2, "rank_mod_p": 1, "rank_rationals": 1}
+
+
 def test_fresh_and_moved_tables_match_reference_over_every_field():
     # a table over each field, built afresh and moved there from GF(2),
-    # against the brute Hochster sum; the projective plane's ideals fold
-    # twice (GF(2), then GF(3) and Q), the others once for all three fields
+    # against the brute Hochster sum; only the projective plane's ideals
+    # keep W whose homology depends on the field
     rng = random.Random(71)
     ideals = [random_antichain_ideal(rng, rng.randint(1, 8), max_gens=6) for _ in range(100)]
     rp2 = [SquareFreeIdeal.make(6, RP2_NON_FACES),
            SquareFreeIdeal.make(7, [*RP2_NON_FACES, (7,)]),
            SquareFreeIdeal.make(8, [*RP2_NON_FACES, (7, 8)]),
            SquareFreeIdeal.make(7, [*RP2_NON_FACES, *((b, 7) for b in range(2, 7))])]
-    folds = Counter()
+    dependent = []
     for ideal in ideals + rp2:
         gf2 = betti_table_ideal(ideal, GF2)
         for fld in (GF2, GF3, QQ):
             want = brute_betti_table(gens_vertices(ideal), ideal.n, fld.p)
             assert betti_table_ideal(ideal, fld).entries == gf2.over(fld).entries == want
-        folds[len(gf2.reduction.folds)] += 1
-    assert folds[1] >= 100 and folds[2] == len(rp2)
+        dependent.append(len(gf2.reduction.field_dependent))
+    assert not any(dependent[:len(ideals)]) and all(dependent[len(ideals):])
 
 
 def test_audit_rejects_a_star_face_kept_as_a_cell(monkeypatch, private_audit):

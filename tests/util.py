@@ -280,8 +280,13 @@ def brute_betti_table(gens_vertices, n, p):
     over GF(p), or over Q when p is None.  Returns {(i, j): beta} with
     beta_{0,0} = 1.
     """
+    return brute_betti_tables(gens_vertices, n, (p,))[p]
+
+
+def brute_betti_tables(gens_vertices, n, ps):
+    """``brute_betti_table`` over each GF(p) (Q for None) in ps, listing every face once."""
     gens = [frozenset(g) for g in gens_vertices]
-    entries = {(0, 0): 1}
+    tables = {p: {(0, 0): 1} for p in ps}
     for j in range(1, n + 1):
         for w in combinations(range(1, n + 1), j):
             faces = [[] for _ in range(j + 1)]
@@ -289,7 +294,7 @@ def brute_betti_table(gens_vertices, n, p):
                 for f in combinations(w, r):
                     if not any(g <= set(f) for g in gens):
                         faces[r].append(f)
-            ranks = [0] * (j + 2)
+            matrices = [None] * (j + 2)
             for r in range(1, j + 1):
                 if faces[r]:
                     index = {f: k for k, f in enumerate(faces[r - 1])}
@@ -299,12 +304,14 @@ def brute_betti_table(gens_vertices, n, p):
                         for k in range(r):
                             row[index[f[:k] + f[k + 1:]]] = (-1) ** k
                         rows.append(row)
-                    ranks[r] = brute_rank(rows, p)
-            for r in range(j + 1):
-                d = len(faces[r]) - ranks[r] - ranks[r + 1]
-                if d:
-                    entries[(j - r, j)] = entries.get((j - r, j), 0) + d
-    return entries
+                    matrices[r] = rows
+            for p, entries in tables.items():
+                ranks = [0 if rows is None else brute_rank(rows, p) for rows in matrices]
+                for r in range(j + 1):
+                    d = len(faces[r]) - ranks[r] - ranks[r + 1]
+                    if d:
+                        entries[(j - r, j)] = entries.get((j - r, j), 0) + d
+    return tables
 
 
 def brute_non_cone_count(gens_vertices, n):
@@ -343,6 +350,50 @@ def brute_cone_link(w, colons):
         if w & v and colons[b] is not None and brute_covered(colons[b], w ^ v) != w ^ v:
             return v
     return 0
+
+
+def brute_components(w, gens):
+    """The vertex sets of the components of the generators (bitmasks) inside W,
+    merged one generator at a time by scanning every generator."""
+    comps = []
+    for g in gens:
+        if not g & ~w:
+            rest = [c for c in comps if not c & g]
+            merged = g
+            for c in comps:
+                if c & g:
+                    merged |= c
+            comps = rest + [merged]
+    return comps
+
+
+def list_zeta(table, op):
+    """Fold each entry over its subsets in place: table[a] = op over table[s], s ⊆ a.
+
+    Bit by bit, every a with the bit set takes op(table[a], table[a - bit]),
+    by slices: one per block of such a when the blocks are long, one per
+    offset inside a block when they are short.
+    """
+    size = len(table)
+    step = 1
+    while step < size:
+        span = step << 1
+        if step * step < size:
+            for r in range(step):
+                table[step + r::span] = map(op, table[step + r::span], table[r::span])
+        else:
+            for hi in range(step, size, span):
+                table[hi:hi + step] = map(op, table[hi:hi + step], table[hi - step:hi])
+        step = span
+    return table
+
+
+def brute_euler_table(face):
+    """chi[a], the reduced Euler characteristic of the restriction to every subset a,
+    as the list zeta of the signed face indicator (face[a] true when a is a face):
+    a face F counts (-1)^(|F| - 1), so the empty face counts -1."""
+    signed = [(1 if a.bit_count() & 1 else -1) if f else 0 for a, f in enumerate(face)]
+    return list_zeta(signed, int.__add__)
 
 
 def random_antichain_ideal(rng: random.Random, n: int, max_gens: int = 5):
